@@ -57,7 +57,6 @@ struct RunResult {
   std::string backend;
   std::string payload_mode;  // "shared" | "per_copy"
   int pipeline_k = 1;        // Config::max_subruns_in_flight
-  std::string mailboxes;     // "spsc" | "mutex" (threads) | "none" (sim)
   std::int64_t round_us = 0;  // paced round cadence; 0 = free-running
   int n = 0;
   std::size_t payload_bytes = 0;
@@ -104,8 +103,8 @@ RunResult timed(Fn&& body) {
 }
 
 /// One urcgc measurement point. The classic fan-out matrix uses the
-/// defaults (k=1, SPSC mailboxes, full grace); the pipelined sweep sets
-/// pipeline_k / lockfree / grace_subruns / messages explicitly so the
+/// defaults (k=1, full grace); the pipelined sweep sets pipeline_k /
+/// grace_subruns / messages explicitly so the
 /// paced and pipelined legs differ in exactly one knob at a time.
 struct UrcgcPoint {
   bool threads = false;
@@ -116,7 +115,6 @@ struct UrcgcPoint {
   std::size_t payload = 64;
   bool per_copy = false;
   int pipeline_k = 1;
-  bool lockfree = true;
   int grace_subruns = 8;
   std::int64_t messages = 0;  // 0: Options::messages
   // Round cadence in microseconds (a round is 10 ticks); 0 free-runs the
@@ -145,7 +143,6 @@ RunResult run_urcgc(const Options& options, const UrcgcPoint& point) {
     // round_us == 0 free-runs (measures work); otherwise rounds are paced
     // at the given cadence (10 ticks per round).
     config.thread_tick_ns = point.round_us * 100;
-    config.lockfree_mailboxes = point.lockfree;
     config.grace_subruns = point.grace_subruns;
     config.seed = options.seed;
     config.limit_rtd = 4000;
@@ -222,7 +219,6 @@ void write_json(const Options& options,
     std::fprintf(f, "      \"payload_mode\": \"%s\",\n",
                  r.payload_mode.c_str());
     std::fprintf(f, "      \"pipeline_k\": %d,\n", r.pipeline_k);
-    std::fprintf(f, "      \"mailboxes\": \"%s\",\n", r.mailboxes.c_str());
     std::fprintf(f, "      \"round_us\": %lld,\n",
                  static_cast<long long>(r.round_us));
     std::fprintf(f, "      \"n\": %d,\n", r.n);
@@ -324,7 +320,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(options.messages),
       static_cast<unsigned long long>(options.seed));
 
-  harness::Table table({"protocol", "backend", "mode", "k", "mbox", "round",
+  harness::Table table({"protocol", "backend", "mode", "k", "round",
                         "n", "payload", "msgs/s", "delivs/s", "p50 rtd",
                         "p99 rtd", "copied B/msg", "allocs/msg"});
   std::vector<RunResult> results;
@@ -332,14 +328,14 @@ int main(int argc, char** argv) {
   const auto emit = [&](RunResult result) {
     if (!result.ok) {
       std::fprintf(stderr,
-                   "VALIDATION FAILED: %s/%s n=%d payload=%zu %s k=%d %s\n",
+                   "VALIDATION FAILED: %s/%s n=%d payload=%zu %s k=%d\n",
                    result.protocol.c_str(), result.backend.c_str(), result.n,
                    result.payload_bytes, result.payload_mode.c_str(),
-                   result.pipeline_k, result.mailboxes.c_str());
+                   result.pipeline_k);
       all_ok = false;
     }
     table.row({result.protocol, result.backend, result.payload_mode,
-               harness::Table::num(result.pipeline_k, 0), result.mailboxes,
+               harness::Table::num(result.pipeline_k, 0),
                result.round_us > 0
                    ? harness::Table::num(
                          static_cast<double>(result.round_us) / 1000.0, 0) +
@@ -380,7 +376,6 @@ int main(int argc, char** argv) {
             result.protocol = protocol;
             result.backend = backend;
             result.payload_mode = per_copy ? "per_copy" : "shared";
-            result.mailboxes = threads ? "spsc" : "none";
             result.n = n;
             result.payload_bytes = payload;
             result.seed = options.seed;
@@ -411,7 +406,6 @@ int main(int argc, char** argv) {
         result.protocol = "urcgc";
         result.backend = "socket";
         result.payload_mode = "shared";
-        result.mailboxes = "spsc";
         result.n = n;
         result.payload_bytes = payload;
         result.seed = options.seed;
@@ -429,10 +423,9 @@ int main(int argc, char** argv) {
   // work on this host): both legs run the same cadence, so k=1 throughput
   // is bounded by the coordinator cadence while k>1 fills the rounds with
   // in-flight subruns. Simulator legs free-run in virtual time and report
-  // per-message compute cost instead. On the threaded backend the largest
-  // point also runs with the mutex mailboxes as the lock-free A/B baseline.
-  RunResult paced_head;    // threads, n_head, k=1, spsc
-  RunResult pipelined_head;  // threads, n_head, k=4, spsc
+  // per-message compute cost instead.
+  RunResult paced_head;      // threads, n_head, k=1
+  RunResult pipelined_head;  // threads, n_head, k=4
   if (options.protocol == "all" || options.protocol == "urcgc") {
     const std::vector<int> depths{1, 2, 4};
     const int n_head = group_sizes.back();
@@ -454,7 +447,6 @@ int main(int argc, char** argv) {
           result.backend = backend;
           result.payload_mode = "shared";
           result.pipeline_k = k;
-          result.mailboxes = threads ? "spsc" : "none";
           result.n = n;
           result.payload_bytes = point.payload;
           result.seed = options.seed;
@@ -462,27 +454,6 @@ int main(int argc, char** argv) {
             if (k == 1) paced_head = result;
             if (k == 4) pipelined_head = result;
           }
-          emit(std::move(result));
-        }
-      }
-      if (threads) {
-        for (int k : {1, 4}) {
-          UrcgcPoint point{.threads = true,
-                           .n = n_head,
-                           .pipeline_k = k,
-                           .lockfree = false,
-                           .grace_subruns = 2,
-                           .messages = 64LL * n_head,
-                           .round_us = round_cadence_us(n_head)};
-          RunResult result = run_urcgc(options, point);
-          result.protocol = "urcgc";
-          result.backend = backend;
-          result.payload_mode = "shared";
-          result.pipeline_k = k;
-          result.mailboxes = "mutex";
-          result.n = n_head;
-          result.payload_bytes = point.payload;
-          result.seed = options.seed;
           emit(std::move(result));
         }
       }

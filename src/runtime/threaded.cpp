@@ -8,42 +8,26 @@
 namespace urcgc::rt {
 
 namespace {
-// Producer identity for the lock-free post path: worker threads register
-// themselves on entry to worker_loop. A thread that is not a worker of
-// *this* runtime (the driver, tests, workers of another runtime) takes the
-// mutex spill path — that keeps every ring strictly single-producer.
-thread_local const void* t_ring_owner = nullptr;
-thread_local int t_ring_producer = -1;
+// Worker identity: worker threads register themselves on entry to
+// worker_loop. current_worker() reports -1 for any other thread (the
+// driver, tests, workers of another runtime).
+thread_local const void* t_worker_owner = nullptr;
+thread_local int t_worker_idx = -1;
 }  // namespace
 
 ThreadedRuntime::ThreadedRuntime(ThreadedConfig config)
     : config_(config), clock_(config.clock) {
   URCGC_ASSERT(config_.n >= 1);
   URCGC_ASSERT(config_.tick_duration.count() >= 0);
-  URCGC_ASSERT(config_.ring_capacity >= 1);
   if (config_.metrics != nullptr) {
     m_rounds_ = config_.metrics->counter("runtime.rounds");
     m_release_lag_ = config_.metrics->histogram(
         "runtime.release_lag_us", obs::HistogramSpec{0.0, 500.0, 25});
     m_discarded_ = config_.metrics->counter("runtime.mailbox_discarded");
-    m_ring_overflow_ =
-        config_.metrics->counter("runtime.mailbox_ring_overflow");
   }
   mailboxes_.reserve(static_cast<std::size_t>(config_.n) + 1);
   for (int i = 0; i <= config_.n; ++i) {
-    auto mailbox = std::make_unique<Mailbox>();
-    if (config_.lockfree_mailboxes) {
-      const auto n = static_cast<std::size_t>(config_.n);
-      mailbox->rings.reserve(n);
-      for (int p = 0; p < config_.n; ++p) {
-        mailbox->rings.push_back(
-            std::make_unique<SpscRing<Task>>(config_.ring_capacity));
-      }
-      mailbox->producer_seq.assign(n, 0);
-      mailbox->seen_upto.assign(n, 0);
-      mailbox->ooo.resize(n);
-    }
-    mailboxes_.push_back(std::move(mailbox));
+    mailboxes_.push_back(std::make_unique<Mailbox>());
   }
   threads_.reserve(config_.n);
   for (int i = 0; i < config_.n; ++i) {
@@ -70,23 +54,12 @@ void ThreadedRuntime::shutdown() {
   // belongs to a round that never opened.
   std::uint64_t discarded = 0;
   for (auto& mailbox : mailboxes_) {
-    discarded += mailbox->spill.size() + mailbox->pending.size();
-    for (auto& ring : mailbox->rings) {
-      Task task;
-      while (ring->try_pop(task)) ++discarded;
-    }
+    discarded += mailbox->inbox.size() + mailbox->pending.size();
   }
   discarded += discard_external();
   discarded_on_shutdown_ = discarded;
-  if (config_.metrics != nullptr) {
-    if (discarded > 0) {
-      config_.metrics->add(kNoProcess, m_discarded_, discarded);
-    }
-    const std::uint64_t overflows =
-        ring_overflows_.load(std::memory_order_relaxed);
-    if (overflows > 0) {
-      config_.metrics->add(kNoProcess, m_ring_overflow_, overflows);
-    }
+  if (config_.metrics != nullptr && discarded > 0) {
+    config_.metrics->add(kNoProcess, m_discarded_, discarded);
   }
 }
 
@@ -96,53 +69,19 @@ void ThreadedRuntime::post(ProcessId owner, Tick delay, EventFn fn) {
   const int idx = owner == kNoProcess ? config_.n : owner;
   Task task{now() + delay, post_order_.fetch_add(1, std::memory_order_relaxed),
             std::move(fn)};
-  if (config_.lockfree_mailboxes && t_ring_owner == this) {
-    Mailbox& mailbox = *mailboxes_[idx];
-    // Stamp the channel sequence before attempting the push: whether this
-    // task lands in the ring or spills, the consumer can tell whether any
-    // channel predecessor is still uncollected and hold it back (drain
-    // would otherwise execute a spilled task ahead of ring-resident
-    // predecessors it has not seen yet — a per-channel FIFO violation).
-    task.producer = t_ring_producer;
-    task.seq =
-        ++mailbox.producer_seq[static_cast<std::size_t>(t_ring_producer)];
-    auto& ring = *mailbox.rings[t_ring_producer];
-    if (ring.try_push(std::move(task))) return;
-    // Ring full: spill to the mutex path below; the counter records that
-    // the capacity was undersized for this burst.
-    ring_overflows_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::lock_guard<std::mutex> lk(mailboxes_[idx]->mu);
-  mailboxes_[idx]->spill.push_back(std::move(task));
+  Mailbox& mailbox = *mailboxes_[idx];
+  std::lock_guard<std::mutex> lk(mailbox.mu);
+  mailbox.inbox.push_back(std::move(task));
 }
 
 int ThreadedRuntime::current_worker() const {
-  return t_ring_owner == this ? t_ring_producer : -1;
+  return t_worker_owner == this ? t_worker_idx : -1;
 }
 
 void ThreadedRuntime::enqueue_local(int idx, Tick due, EventFn fn) {
   Task task{due, post_order_.fetch_add(1, std::memory_order_relaxed),
             std::move(fn)};
   mailboxes_[idx]->pending.push_back(std::move(task));
-}
-
-void ThreadedRuntime::note_collected(Mailbox& mailbox, const Task& task) {
-  if (task.producer < 0) return;
-  const auto p = static_cast<std::size_t>(task.producer);
-  std::uint64_t& upto = mailbox.seen_upto[p];
-  auto& ooo = mailbox.ooo[p];
-  if (task.seq == upto + 1) {
-    ++upto;
-    // Absorb buffered successors that became contiguous.
-    std::size_t eat = 0;
-    while (eat < ooo.size() && ooo[eat] == upto + 1) {
-      ++upto;
-      ++eat;
-    }
-    if (eat > 0) ooo.erase(ooo.begin(), ooo.begin() + static_cast<long>(eat));
-  } else {
-    ooo.insert(std::lower_bound(ooo.begin(), ooo.end(), task.seq), task.seq);
-  }
 }
 
 void ThreadedRuntime::on_round(ProcessId owner, RoundHandler handler) {
@@ -165,44 +104,20 @@ void ThreadedRuntime::on_round(ProcessId owner, RoundHandler handler) {
 void ThreadedRuntime::drain(int idx, Tick cutoff) {
   Mailbox& mailbox = *mailboxes_[idx];
   collect_external(idx, cutoff);
-  if (config_.lockfree_mailboxes) {
-    // Coalesce: pull everything the producers published, then the spill,
-    // into the consumer-private pending list. Rings are FIFO per producer
-    // but task due-times are not monotone (a transport retry outlives the
-    // round), so due/not-yet-due is decided on the merged list.
-    for (auto& ring : mailbox.rings) {
-      Task task;
-      while (ring->try_pop(task)) {
-        note_collected(mailbox, task);
-        mailbox.pending.push_back(std::move(task));
-      }
-    }
-    if (config_.test_between_ring_and_spill) {
-      config_.test_between_ring_and_spill(idx, cutoff);
-    }
-  }
+  // Swap the inbox out under the lock and merge it outside, so the consumer
+  // holds the mutex only for the swap. `intake` is empty here, so the swap
+  // also hands the inbox a buffer with spare capacity for the next posts.
   {
     std::lock_guard<std::mutex> lk(mailbox.mu);
-    if (!mailbox.spill.empty()) {
-      for (Task& task : mailbox.spill) {
-        note_collected(mailbox, task);
-        mailbox.pending.push_back(std::move(task));
-      }
-      mailbox.spill.clear();
-    }
+    mailbox.intake.swap(mailbox.inbox);
   }
-  // A task executes only once it is due AND its channel prefix is fully
-  // collected: a spilled task whose ring-resident predecessors were pushed
-  // after our ring pass (ring-then-spill race) is held in pending; the next
-  // drain collects the predecessors and releases it in post order.
+  for (Task& task : mailbox.intake) mailbox.pending.push_back(std::move(task));
+  mailbox.intake.clear();
+  // Task due-times are not monotone in post order (a transport retry
+  // outlives the round), so due/not-yet-due is decided on the merged list.
   auto split = std::stable_partition(
       mailbox.pending.begin(), mailbox.pending.end(),
-      [cutoff, &mailbox](const Task& t) {
-        if (t.due > cutoff) return true;  // keep: not yet due
-        return t.producer >= 0 &&
-               t.seq >
-                   mailbox.seen_upto[static_cast<std::size_t>(t.producer)];
-      });
+      [cutoff](const Task& t) { return t.due > cutoff; });
   std::vector<Task> due;
   due.assign(std::make_move_iterator(split),
              std::make_move_iterator(mailbox.pending.end()));
@@ -214,8 +129,8 @@ void ThreadedRuntime::drain(int idx, Tick cutoff) {
 }
 
 void ThreadedRuntime::worker_loop(int idx) {
-  t_ring_owner = this;
-  t_ring_producer = idx;
+  t_worker_owner = this;
+  t_worker_idx = idx;
   RoundId done_round = -1;
   for (;;) {
     RoundId r;
@@ -246,8 +161,8 @@ void ThreadedRuntime::worker_loop(int idx) {
     }
     cv_done_.notify_one();
   }
-  t_ring_owner = nullptr;
-  t_ring_producer = -1;
+  t_worker_owner = nullptr;
+  t_worker_idx = -1;
 }
 
 Tick ThreadedRuntime::run_rounds(Tick limit,

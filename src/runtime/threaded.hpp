@@ -7,21 +7,19 @@
 // std::chrono::steady_clock: round r opens no earlier than
 // epoch + round_start(r) * tick_duration.
 //
-// Mailbox structure (ThreadedConfig::lockfree_mailboxes, the default):
-// each consumer context owns one fixed-capacity SPSC ring per worker
-// producer, so the hot path — a worker posting a datagram into another
-// worker's mailbox — is a single lock-free push. The consumer coalesces
-// all of its rings into a private pending list once per round, then
-// executes the due tasks in (due, post-order) order; not-yet-due tasks
-// (e.g. transport retries) stay in the pending list, which only the
-// consumer touches. Posts from threads that are not workers (the driver's
-// workload submissions, tests) and pushes that find a ring full overflow
-// into the mutex-guarded spill vector. Worker posts carry a per-
-// (producer,consumer) channel sequence number so an overflow cannot be
-// executed ahead of ring-resident predecessors the consumer has not
-// collected yet — the drain holds a task back until its channel prefix is
-// complete, preserving per-channel FIFO. The mutex-only path is kept
-// behind the flag as the A/B and equivalence oracle for the ring path.
+// Mailbox structure: each context owns one mutex-guarded inbox. post()
+// stamps the task with a global post-order number and appends it to the
+// destination's inbox under that inbox's mutex. Once per drain the
+// consumer swaps the whole inbox out (it holds the mutex only for that
+// swap), merges it into its private pending list, splits off the tasks
+// due by the cutoff and runs them in (due, post-order) order; not-yet-due
+// tasks (e.g. transport retries) stay in the pending list, which only the
+// consumer touches. Per-sender FIFO needs no bookkeeping:
+// one thread's stamps increase with every post, and a drain always takes
+// every task posted before it, so no task can overtake an earlier
+// same-due post from the same sender. The round barrier already gives the
+// "sent in round r, processed before round r+1" guarantee, so the mailbox
+// needs no lock-free fast path (DESIGN.md §10 records the A/B).
 //
 // Execution model per round r (driver thread = the caller of run_until*):
 //   1. driver waits for the steady-clock round boundary, advances now()
@@ -59,7 +57,6 @@
 #include "common/types.hpp"
 #include "obs/registry.hpp"
 #include "runtime/runtime.hpp"
-#include "runtime/spsc_ring.hpp"
 
 namespace urcgc::rt {
 
@@ -71,26 +68,11 @@ struct ThreadedConfig {
   /// steady_clock at this rate. Zero = free-running (rounds proceed as
   /// fast as the barrier allows; ordering guarantees are unchanged).
   std::chrono::nanoseconds tick_duration = std::chrono::microseconds(50);
-  /// Per-(producer, consumer) SPSC rings on the worker post path (see the
-  /// header comment). false = every post takes the mailbox mutex, the
-  /// pre-ring behavior — kept as the A/B baseline and equivalence oracle.
-  bool lockfree_mailboxes = true;
-  /// Capacity of each SPSC ring. A worker posts a handful of tasks per
-  /// destination per round (datagram copies, retries), so a small ring
-  /// absorbs the hot path; overflow falls back to the mutex spill vector,
-  /// counted in `runtime.mailbox_ring_overflow`.
-  std::size_t ring_capacity = 16;
   /// Optional observability registry: the runtime records rounds run and
   /// the release lag (how late each round opened versus its steady-clock
   /// target) on the host shard — driver-context only, per the registry's
   /// thread-safety contract.
   obs::Registry* metrics = nullptr;
-  /// Test-only: invoked by the consumer of context `idx` inside drain, in
-  /// the window after the ring pass and before the spill merge — the spot
-  /// where a concurrent producer can fill its ring and overflow into the
-  /// spill, making the consumer observe a later task before its
-  /// predecessors. Lets tests force that interleaving deterministically.
-  std::function<void(int idx, Tick cutoff)> test_between_ring_and_spill{};
 };
 
 class ThreadedRuntime : public Runtime {
@@ -129,11 +111,6 @@ class ThreadedRuntime : public Runtime {
   /// Valid after shutdown; 0 before.
   [[nodiscard]] std::uint64_t discarded_on_shutdown() const {
     return discarded_on_shutdown_;
-  }
-  /// Lock-free posts that found their ring full and spilled to the mutex
-  /// path (diagnostics; approximate while workers run).
-  [[nodiscard]] std::uint64_t ring_overflows() const {
-    return ring_overflows_.load(std::memory_order_relaxed);
   }
 
  protected:
@@ -177,46 +154,27 @@ class ThreadedRuntime : public Runtime {
     Tick due = 0;
     std::uint64_t order = 0;  // global post order: stable tie-break
     EventFn fn;
-    // Per-(producer, consumer) channel identity for the lock-free path:
-    // worker `producer` stamped this task with channel sequence `seq`
-    // (1-based, contiguous per channel). -1 = posted under the mailbox
-    // mutex by a non-worker (driver, tests) — the spill vector is FIFO
-    // and collected whole, so those need no gap tracking.
-    int producer = -1;
-    std::uint64_t seq = 0;
   };
 
   /// One mailbox per execution context; index n is the driver context.
-  /// The mutex guards `spill` only — `handlers` is written before the
+  /// The mutex guards `inbox` only — `handlers` is written before the
   /// first round or, mid-run, only from this context's own thread (see
-  /// on_round), so the iterating thread is the mutating thread;
-  /// `rings[i]` is SPSC between
-  /// worker i (producer) and this context's thread (consumer); `pending`,
-  /// `seen_upto` and `ooo` are touched only by the consumer;
-  /// `producer_seq[i]` is written only by worker i.
+  /// on_round), so the iterating thread is the mutating thread; `intake`
+  /// and `pending` are touched only by the consumer.
   struct Mailbox {
     std::mutex mu;
-    std::vector<Task> spill;
+    std::vector<Task> inbox;
     std::vector<RoundHandler> handlers;
-    std::vector<std::unique_ptr<SpscRing<Task>>> rings;  // [worker producer]
+    std::vector<Task> intake;   // consumer-owned: the inbox swapped out
     std::vector<Task> pending;  // consumer-owned carry-over
-    // Channel sequence numbers (lock-free mode only, all sized n):
-    std::vector<std::uint64_t> producer_seq;  // last seq stamped, per worker
-    std::vector<std::uint64_t> seen_upto;     // collected prefix, per worker
-    std::vector<std::vector<std::uint64_t>> ooo;  // collected beyond a gap
   };
 
   void worker_loop(int idx);
   /// Extracts and executes every task of context `idx` due at or before
   /// `cutoff`, in (due, post-order) order. Runs the tasks outside the
   /// mailbox lock so they may post into other mailboxes. Must only be
-  /// called from the context's consumer thread. A task whose channel
-  /// predecessors have not been collected yet (ring/spill race, see
-  /// Task::seq) is held back until they have.
+  /// called from the context's consumer thread.
   void drain(int idx, Tick cutoff);
-  /// Advances the consumer-side collected-prefix tracking for `task`'s
-  /// channel. Consumer thread only.
-  static void note_collected(Mailbox& mailbox, const Task& task);
   Tick run_rounds(Tick limit, const std::function<bool()>* predicate);
 
   ThreadedConfig config_;
@@ -226,7 +184,6 @@ class ThreadedRuntime : public Runtime {
 
   std::atomic<Tick> now_{0};
   std::atomic<std::uint64_t> post_order_{0};
-  std::atomic<std::uint64_t> ring_overflows_{0};
 
   // Round-barrier state, guarded by barrier_mu_.
   std::mutex barrier_mu_;
@@ -249,7 +206,6 @@ class ThreadedRuntime : public Runtime {
   obs::Metric m_rounds_{};
   obs::Metric m_release_lag_{};
   obs::Metric m_discarded_{};
-  obs::Metric m_ring_overflow_{};
 };
 
 }  // namespace urcgc::rt

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -170,6 +171,11 @@ struct FeatureParam {
   double omission;
   double packet_loss;
 };
+
+// Without this, gtest prints the parameter as raw bytes, and those hold the
+// name pointer (moved by ASLR) and padding, so the listed test names change
+// from one build to the next.
+void PrintTo(const FeatureParam& p, std::ostream* os) { *os << p.name; }
 
 class FeatureSweep : public testing::TestWithParam<FeatureParam> {};
 

@@ -145,62 +145,68 @@ TEST(ThreadedRuntime, ShutdownCountsUndrainedTasks) {
   // Regression for the mailbox lifecycle contract: tasks still pending
   // when shutdown() joins the workers are discarded, never executed, and
   // the loss is visible through discarded_on_shutdown() and the
-  // `runtime.mailbox_discarded` counter — under both mailbox kinds.
-  for (const bool lockfree : {true, false}) {
-    obs::Registry registry(2);
-    ThreadedConfig config = free_running(2);
-    config.lockfree_mailboxes = lockfree;
-    config.metrics = &registry;
-    ThreadedRuntime rt(config);
-    rt.on_round(0, [](RoundId) {});
-    rt.run_until(19);
-    // Due ticks far past the horizon: these tasks can never drain.
-    bool ran = false;
-    for (int i = 0; i < 3; ++i) {
-      rt.post(1, /*delay=*/100'000, [&ran] { ran = true; });
-    }
-    EXPECT_EQ(rt.discarded_on_shutdown(), 0u) << "before shutdown";
-    rt.shutdown();
-    EXPECT_FALSE(ran) << "lockfree=" << lockfree;
-    EXPECT_EQ(rt.discarded_on_shutdown(), 3u) << "lockfree=" << lockfree;
-    const obs::Metric m = registry.find("runtime.mailbox_discarded");
-    EXPECT_EQ(registry.counter_total(m), 3u) << "lockfree=" << lockfree;
+  // `runtime.mailbox_discarded` counter.
+  obs::Registry registry(2);
+  ThreadedConfig config = free_running(2);
+  config.metrics = &registry;
+  ThreadedRuntime rt(config);
+  rt.on_round(0, [](RoundId) {});
+  rt.run_until(19);
+  // Due ticks far past the horizon: these tasks can never drain.
+  bool ran = false;
+  for (int i = 0; i < 3; ++i) {
+    rt.post(1, /*delay=*/100'000, [&ran] { ran = true; });
   }
+  EXPECT_EQ(rt.discarded_on_shutdown(), 0u) << "before shutdown";
+  rt.shutdown();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(rt.discarded_on_shutdown(), 3u);
+  const obs::Metric m = registry.find("runtime.mailbox_discarded");
+  EXPECT_EQ(registry.counter_total(m), 3u);
 }
 
-TEST(ThreadedRuntime, RingOverflowPreservesPerChannelFifo) {
-  // Regression: a consumer that had finished its ring pass could pick up a
-  // spilled task and execute it while the task's ring-resident
-  // predecessors — pushed concurrently, after the pass — sat uncollected
-  // until the next drain, so later-posted work from one producer ran ahead
-  // of earlier-posted work. The drain now holds a task back until its
-  // channel prefix is collected. Force the exact interleaving with the
-  // test hook: park consumer 1 between its ring pass and its spill merge,
-  // have worker 0 fill the ring (capacity 4) and overflow a fifth task,
-  // then let the consumer proceed.
-  constexpr int kBurst = 5;
-  ThreadedConfig config = free_running(2);
-  config.ring_capacity = 4;
-  std::atomic<int> stage{0};
-  config.test_between_ring_and_spill = [&stage](int idx, Tick cutoff) {
-    if (idx != 1 || cutoff != 30) return;  // context 1, round 3 only
-    int expected = 0;
-    if (!stage.compare_exchange_strong(expected, 1)) return;  // fire once
-    while (stage.load() != 2) std::this_thread::yield();
-  };
-  ThreadedRuntime rt(config);
+TEST(ThreadedRuntime, WorkerBurstRunsInPostOrder) {
+  // Per-sender FIFO through the single mailbox: in round 3 worker 0 posts
+  // a burst of zero-delay tasks to context 1 — more than a small
+  // fixed-capacity queue would hold — while context 1 drains concurrently
+  // and a second, non-worker thread posts its own burst into the same
+  // mailbox. Each sender's tasks must run in its post order, and every
+  // task exactly once.
+  constexpr int kBurst = 100;
+  constexpr int kOther = 1000;  // id offset of the non-worker's tasks
+  ThreadedRuntime rt(free_running(2));
   std::vector<int> log;  // appended to only by context 1's tasks
-  rt.on_round(0, [&rt, &log, &stage](RoundId r) {
+  rt.on_round(0, [&rt, &log](RoundId r) {
     if (r != 3) return;
-    while (stage.load() != 1) std::this_thread::yield();
-    for (int i = 1; i <= kBurst; ++i) {
+    for (int i = 0; i < kBurst; ++i) {
       rt.post(1, /*delay=*/0, [&log, i] { log.push_back(i); });
     }
-    stage.store(2);
+  });
+  std::thread other;
+  rt.on_round(kNoProcess, [&](RoundId r) {
+    if (r == 3) {
+      other = std::thread([&rt, &log] {
+        for (int i = 0; i < kBurst; ++i) {
+          rt.post(1, /*delay=*/0, [&log, i] { log.push_back(kOther + i); });
+        }
+      });
+    } else if (r == 4) {
+      other.join();  // every post lands before round 4 drains
+    }
   });
   rt.run_until(49);
-  EXPECT_GE(rt.ring_overflows(), 1u) << "burst did not overflow the ring";
-  EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4, 5}));
+  ASSERT_EQ(log.size(), 2u * kBurst);
+  std::vector<int> mine;
+  std::vector<int> theirs;
+  for (const int id : log) (id < kOther ? mine : theirs).push_back(id);
+  std::vector<int> want_mine(kBurst);
+  std::vector<int> want_theirs(kBurst);
+  for (int i = 0; i < kBurst; ++i) {
+    want_mine[static_cast<std::size_t>(i)] = i;
+    want_theirs[static_cast<std::size_t>(i)] = kOther + i;
+  }
+  EXPECT_EQ(mine, want_mine);
+  EXPECT_EQ(theirs, want_theirs);
 }
 
 TEST(ThreadedRuntime, WallClockPacingRespectsTickDuration) {

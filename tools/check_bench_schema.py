@@ -31,7 +31,6 @@ THROUGHPUT_RUN_FIELDS = {
     "backend": str,
     "payload_mode": str,
     "pipeline_k": int,
-    "mailboxes": str,
     "round_us": int,
     "n": int,
     "payload_bytes": int,
@@ -103,7 +102,6 @@ SCALE_RUN_FIELDS = {
 PROTOCOLS = {"urcgc", "cbcast", "psync"}
 BACKENDS = {"sim", "threads", "socket"}
 PAYLOAD_MODES = {"shared", "per_copy"}
-MAILBOXES = {"spsc", "mutex", "none"}
 ENCODINGS = {"full", "delta"}
 
 # bench_scale's acceptance gate: from this group size up, the delta
@@ -141,16 +139,6 @@ def check_throughput_run(run, where, err):
         err(f"{where}.pipeline_k must be >= 1")
     if run["pipeline_k"] > 1 and run["protocol"] != "urcgc":
         err(f"{where}: pipeline_k > 1 on baseline {run['protocol']!r}")
-    if run["mailboxes"] not in MAILBOXES:
-        err(f"{where}.mailboxes {run['mailboxes']!r} not in "
-            f"{sorted(MAILBOXES)}")
-    if run["backend"] == "sim" and run["mailboxes"] != "none":
-        err(f"{where}: sim backend has no mailboxes "
-            f"(got {run['mailboxes']!r})")
-    if run["backend"] in ("threads", "socket") and run["mailboxes"] == "none":
-        # The socket runtime layers UDP transport over the threaded
-        # execution model, so it too runs on real mailboxes.
-        err(f"{where}: {run['backend']} backend must state its mailbox kind")
     if run["round_us"] < 0:
         err(f"{where}.round_us must be >= 0 (0 = free-running)")
     if run["backend"] == "sim" and run["round_us"] != 0:

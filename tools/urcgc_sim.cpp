@@ -50,7 +50,6 @@ struct Options {
   std::string causality = "intermediate";
   bool use_transport = false;
   bool per_copy = false;
-  bool mutex_mailboxes = false;  // threads: legacy mutex mailbox path
   bool csv = false;
   bool verbose = false;
   std::string trace_path;
@@ -104,9 +103,6 @@ struct Options {
       "  --per-copy                      legacy clone-per-destination\n"
       "                                  payload cost model (A/B against\n"
       "                                  the zero-copy fan-out)\n"
-      "  --mutex-mailboxes               threads: legacy mutex-guarded\n"
-      "                                  mailboxes (A/B against the\n"
-      "                                  lock-free SPSC rings)\n"
       "  --trace=FILE                    write a JSONL protocol trace\n"
       "  --metrics-out=FILE              write obs registry as JSONL\n"
       "  --metrics-csv=FILE              write obs registry as CSV\n"
@@ -190,8 +186,6 @@ Options parse(int argc, char** argv) {
       opt.use_transport = true;
     } else if (consume(arg, "--per-copy", value)) {
       opt.per_copy = true;
-    } else if (consume(arg, "--mutex-mailboxes", value)) {
-      opt.mutex_mailboxes = true;
     } else if (consume(arg, "--seed", value)) {
       opt.seed = std::strtoull(value.data(), nullptr, 10);
     } else if (consume(arg, "--limit-rtd", value)) {
@@ -300,7 +294,6 @@ int run_urcgc(const Options& opt) {
     config.backend = opt.backend == "socket" ? harness::Backend::kSocket
                                              : harness::Backend::kThreads;
     config.thread_tick_ns = opt.tick_ns;
-    config.lockfree_mailboxes = !opt.mutex_mailboxes;
   } else if (opt.backend != "sim") {
     std::fprintf(stderr, "unknown backend: %s\n", opt.backend.c_str());
     return 2;
