@@ -3,12 +3,7 @@
 // Sweeps group size n x payload size x runtime backend for urcgc and the
 // CBCAST / Psync baselines on a fault-free subnet, measuring wall-clock
 // throughput, delivery-delay percentiles and the wire-buffer accounting
-// (allocations and bytes physically copied per delivered message). Each
-// simulator point is also run under the legacy clone-per-destination cost
-// model (NetConfig::per_copy_payloads) so the zero-copy fan-out's saving
-// is measured inside one binary, against identical traffic: drop/latency
-// draws do not depend on the payload mode, so both runs deliver the same
-// messages and differ only in copy cost.
+// (allocations and bytes physically copied per delivered message).
 //
 // Output: a human-readable table on stdout and, with --json=FILE, the
 // BENCH_throughput.json document whose schema PERFORMANCE.md documents
@@ -55,8 +50,7 @@ struct Options {
 struct RunResult {
   std::string protocol;
   std::string backend;
-  std::string payload_mode;  // "shared" | "per_copy"
-  int pipeline_k = 1;        // Config::max_subruns_in_flight
+  int pipeline_k = 1;         // Config::max_subruns_in_flight
   std::int64_t round_us = 0;  // paced round cadence; 0 = free-running
   int n = 0;
   std::size_t payload_bytes = 0;
@@ -113,7 +107,6 @@ struct UrcgcPoint {
   bool socket = false;
   int n = 0;
   std::size_t payload = 64;
-  bool per_copy = false;
   int pipeline_k = 1;
   int grace_subruns = 8;
   std::int64_t messages = 0;  // 0: Options::messages
@@ -136,7 +129,6 @@ RunResult run_urcgc(const Options& options, const UrcgcPoint& point) {
         point.messages > 0 ? point.messages : options.messages;
     config.workload.cross_dep_prob = 0.0;
     config.workload.payload_bytes = point.payload;
-    config.net.per_copy_payloads = point.per_copy;
     config.backend = point.socket    ? harness::Backend::kSocket
                      : point.threads ? harness::Backend::kThreads
                                      : harness::Backend::kSim;
@@ -160,7 +152,7 @@ RunResult run_urcgc(const Options& options, const UrcgcPoint& point) {
 }
 
 RunResult run_baseline(const Options& options, bool cbcast, bool threads,
-                       int n, std::size_t payload, bool per_copy) {
+                       int n, std::size_t payload) {
   return timed([&] {
     baselines::BaselineConfig config;
     config.n = n;
@@ -171,7 +163,6 @@ RunResult run_baseline(const Options& options, bool cbcast, bool threads,
     config.backend =
         threads ? baselines::Backend::kThreads : baselines::Backend::kSim;
     config.thread_tick_ns = 0;
-    config.per_copy_payloads = per_copy;
     config.seed = options.seed;
     config.limit_rtd = 4000;
     const auto report =
@@ -216,8 +207,6 @@ void write_json(const Options& options,
     std::fprintf(f, "    {\n");
     std::fprintf(f, "      \"protocol\": \"%s\",\n", r.protocol.c_str());
     std::fprintf(f, "      \"backend\": \"%s\",\n", r.backend.c_str());
-    std::fprintf(f, "      \"payload_mode\": \"%s\",\n",
-                 r.payload_mode.c_str());
     std::fprintf(f, "      \"pipeline_k\": %d,\n", r.pipeline_k);
     std::fprintf(f, "      \"round_us\": %lld,\n",
                  static_cast<long long>(r.round_us));
@@ -320,7 +309,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(options.messages),
       static_cast<unsigned long long>(options.seed));
 
-  harness::Table table({"protocol", "backend", "mode", "k", "round",
+  harness::Table table({"protocol", "backend", "k", "round",
                         "n", "payload", "msgs/s", "delivs/s", "p50 rtd",
                         "p99 rtd", "copied B/msg", "allocs/msg"});
   std::vector<RunResult> results;
@@ -328,13 +317,12 @@ int main(int argc, char** argv) {
   const auto emit = [&](RunResult result) {
     if (!result.ok) {
       std::fprintf(stderr,
-                   "VALIDATION FAILED: %s/%s n=%d payload=%zu %s k=%d\n",
+                   "VALIDATION FAILED: %s/%s n=%d payload=%zu k=%d\n",
                    result.protocol.c_str(), result.backend.c_str(), result.n,
-                   result.payload_bytes, result.payload_mode.c_str(),
-                   result.pipeline_k);
+                   result.payload_bytes, result.pipeline_k);
       all_ok = false;
     }
-    table.row({result.protocol, result.backend, result.payload_mode,
+    table.row({result.protocol, result.backend,
                harness::Table::num(result.pipeline_k, 0),
                result.round_us > 0
                    ? harness::Table::num(
@@ -359,28 +347,19 @@ int main(int argc, char** argv) {
     for (const std::string& protocol : protocols) {
       for (int n : group_sizes) {
         for (std::size_t payload : payloads) {
-          // Every simulator point runs in both payload modes (the per-copy
-          // leg reproduces the pre-zero-copy cost model); the threaded
-          // sweep sticks to the real configuration.
-          const int modes = threads ? 1 : 2;
-          for (int mode = 0; mode < modes; ++mode) {
-            const bool per_copy = mode == 1;
-            RunResult result =
-                protocol == "urcgc"
-                    ? run_urcgc(options, UrcgcPoint{.threads = threads,
-                                                    .n = n,
-                                                    .payload = payload,
-                                                    .per_copy = per_copy})
-                    : run_baseline(options, protocol == "cbcast", threads, n,
-                                   payload, per_copy);
-            result.protocol = protocol;
-            result.backend = backend;
-            result.payload_mode = per_copy ? "per_copy" : "shared";
-            result.n = n;
-            result.payload_bytes = payload;
-            result.seed = options.seed;
-            emit(std::move(result));
-          }
+          RunResult result =
+              protocol == "urcgc"
+                  ? run_urcgc(options, UrcgcPoint{.threads = threads,
+                                                  .n = n,
+                                                  .payload = payload})
+                  : run_baseline(options, protocol == "cbcast", threads, n,
+                                 payload);
+          result.protocol = protocol;
+          result.backend = backend;
+          result.n = n;
+          result.payload_bytes = payload;
+          result.seed = options.seed;
+          emit(std::move(result));
         }
       }
     }
@@ -405,7 +384,6 @@ int main(int argc, char** argv) {
             options, UrcgcPoint{.socket = true, .n = n, .payload = payload});
         result.protocol = "urcgc";
         result.backend = "socket";
-        result.payload_mode = "shared";
         result.n = n;
         result.payload_bytes = payload;
         result.seed = options.seed;
@@ -445,7 +423,6 @@ int main(int argc, char** argv) {
           RunResult result = run_urcgc(options, point);
           result.protocol = "urcgc";
           result.backend = backend;
-          result.payload_mode = "shared";
           result.pipeline_k = k;
           result.n = n;
           result.payload_bytes = point.payload;
@@ -461,24 +438,6 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  // Headline comparison the acceptance criterion tracks: shared vs per-copy
-  // bytes copied per delivered message at the largest simulated point.
-  const RunResult* shared_head = nullptr;
-  const RunResult* cloned_head = nullptr;
-  for (const RunResult& r : results) {
-    if (r.protocol != "urcgc" || r.backend != "sim") continue;
-    if (r.n != 200 || r.payload_bytes != 16384) continue;
-    (r.payload_mode == "shared" ? shared_head : cloned_head) = &r;
-  }
-  if (shared_head != nullptr && cloned_head != nullptr) {
-    const double before = cloned_head->bytes_copied_per_delivered_message();
-    const double after = shared_head->bytes_copied_per_delivered_message();
-    std::printf(
-        "\nheadline (urcgc, sim, n=200, 16 KiB): %.1f -> %.1f bytes "
-        "copied/delivered message (%.0fx reduction, requirement >= 5x: %s)\n",
-        before, after, before / after, before / after >= 5.0 ? "OK" : "FAIL");
-  }
-
   // Pipelining headline: msgs/s and p50 delay at the largest threaded
   // point, k=4 vs the paced k=1 leg of the same sweep.
   if (paced_head.n > 0 && pipelined_head.n > 0 &&
@@ -486,7 +445,7 @@ int main(int argc, char** argv) {
     const double speedup =
         pipelined_head.msgs_per_sec() / paced_head.msgs_per_sec();
     std::printf(
-        "headline (urcgc, threads, n=%d, %lldms rounds): %.0f -> %.0f "
+        "\nheadline (urcgc, threads, n=%d, %lldms rounds): %.0f -> %.0f "
         "msgs/s at k=1 -> k=4 (%.2fx, requirement >= 2x: %s); p50 delay "
         "%.2f -> %.2f rtd\n",
         paced_head.n, static_cast<long long>(paced_head.round_us / 1000),

@@ -29,9 +29,7 @@ namespace {
 /// needs no synchronisation of its own).
 class Recorder final : public core::Observer {
  public:
-  Recorder(Tick ticks_per_rtd, core::Observer* extra,
-           obs::Registry* metrics)
-      : ticks_per_rtd_(ticks_per_rtd), extra_(extra) {
+  Recorder(core::Observer* extra, obs::Registry* metrics) : extra_(extra) {
     // Dual-write the classic trackers into the registry so exports carry
     // the same traffic/delay data the report does.
     delays_.bind(metrics);
@@ -128,7 +126,6 @@ class Recorder final : public core::Observer {
   std::vector<JoinEvent> joins_;
   std::uint64_t generated_ = 0;
   std::uint64_t discarded_ = 0;
-  Tick ticks_per_rtd_;
   core::Observer* extra_;
 };
 
@@ -227,7 +224,7 @@ ExperimentReport Experiment::run() {
   net::NetConfig net_config = config_.net;
   net_config.metrics = config_.metrics;
   net::Network network(rt, injector, net_config, master.fork(0x0E7));
-  Recorder recorder(per_rtd, config_.extra_observer, config_.metrics);
+  Recorder recorder(config_.extra_observer, config_.metrics);
 
   std::vector<std::unique_ptr<net::Endpoint>> endpoints;
   std::vector<net::TransportEndpoint*> transports;
@@ -288,21 +285,16 @@ ExperimentReport Experiment::run() {
   ExperimentReport report;
   rt.on_round([&](RoundId round) {
     double hist_max = 0.0;
-    double hist_sum = 0.0;
     double wait_max = 0.0;
-    int alive = 0;
     for (const auto& process : processes) {
       if (process->halted()) continue;
-      ++alive;
       const auto h = static_cast<double>(process->mt().history_size());
       const auto w = static_cast<double>(process->mt().waiting_size());
       hist_max = std::max(hist_max, h);
-      hist_sum += h;
       wait_max = std::max(wait_max, w);
     }
     const Tick at = clock.round_start(round);
     report.history_max.record(at, hist_max);
-    report.history_avg.record(at, alive > 0 ? hist_sum / alive : 0.0);
     report.waiting_max.record(at, wait_max);
   });
 
@@ -385,8 +377,6 @@ ExperimentReport Experiment::run() {
   report.processed_events = recorder.delays_.processed_events();
   report.discarded = recorder.discarded_;
   report.delay_rtd = to_rtd_summary(recorder.delays_.delays_ticks(), per_rtd);
-  report.completion_rtd =
-      to_rtd_summary(recorder.delays_.completion_ticks(), per_rtd);
   report.traffic = recorder.traffic_;
   for (net::TransportEndpoint* transport : transports) {
     const auto& ts = transport->stats();

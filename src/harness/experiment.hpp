@@ -196,7 +196,6 @@ struct ExperimentReport {
 
   // Delay metrics in rtd units (Figure 4).
   stats::Summary delay_rtd;
-  stats::Summary completion_rtd;
 
   // Traffic (Table 1) and substrate accounting.
   stats::TrafficAccountant traffic;
@@ -205,13 +204,12 @@ struct ExperimentReport {
   /// Wire-buffer accounting over this run (delta of the process-global
   /// wire::buffer_stats() across run()). `bytes_allocated` ≈ serialization
   /// cost, `bytes_copied` ≈ post-serialization duplication — zero-copy
-  /// fan-out keeps the latter at 0 unless NetConfig::per_copy_payloads
-  /// restores the legacy clone-per-destination model.
+  /// fan-out keeps the latter at 0 on the sim and threads backends; the
+  /// socket backend copies each received datagram once.
   wire::BufferStats buffers;
 
   // Time series in (rtd, value) — Figure 6.
   stats::TimeSeries history_max;
-  stats::TimeSeries history_avg;
   stats::TimeSeries waiting_max;
 
   std::vector<DecisionEvent> decisions;

@@ -77,7 +77,7 @@ void DelayTracker::on_generated(const Mid& mid, Tick at) {
 }
 
 void DelayTracker::on_processed(const Mid& mid, ProcessId by, Tick at) {
-  processed_[mid].push_back({by, at});
+  processed_[mid].push_back(at);
   ++processed_events_;
   if (registry_ != nullptr) {
     auto sent = sent_.find(mid);
@@ -94,35 +94,8 @@ std::vector<double> DelayTracker::delays_ticks() const {
   for (const auto& [mid, events] : processed_) {
     auto sent = sent_.find(mid);
     if (sent == sent_.end()) continue;
-    for (const auto& [by, at] : events) {
+    for (Tick at : events) {
       delays.push_back(static_cast<double>(at - sent->second));
-    }
-  }
-  return delays;
-}
-
-std::vector<double> DelayTracker::completion_ticks() const {
-  std::vector<double> result;
-  result.reserve(processed_.size());
-  for (const auto& [mid, events] : processed_) {
-    auto sent = sent_.find(mid);
-    if (sent == sent_.end() || events.empty()) continue;
-    Tick last = 0;
-    for (const auto& [by, at] : events) last = std::max(last, at);
-    result.push_back(static_cast<double>(last - sent->second));
-  }
-  return result;
-}
-
-std::vector<double> DelayTracker::relative_delays() const {
-  std::vector<double> delays;
-  delays.reserve(processed_events_);
-  for (const auto& [mid, events] : processed_) {
-    if (events.empty()) continue;
-    Tick anchor = events.front().second;
-    for (const auto& [by, at] : events) anchor = std::min(anchor, at);
-    for (const auto& [by, at] : events) {
-      delays.push_back(static_cast<double>(at - anchor));
     }
   }
   return delays;

@@ -112,17 +112,6 @@ class DelayTracker {
 
   [[nodiscard]] std::vector<double> delays_ticks() const;
 
-  /// Completion delay per message: max processing tick − generation tick
-  /// over the processes that processed it.
-  [[nodiscard]] std::vector<double> completion_ticks() const;
-
-  /// Delays relative to each message's earliest processing event instead
-  /// of an explicit generation anchor. Under urcgc the sender processes
-  /// its own message the instant it generates it, so the per-message
-  /// minimum *is* the generation tick — useful when only processing
-  /// events were recorded.
-  [[nodiscard]] std::vector<double> relative_delays() const;
-
   [[nodiscard]] std::size_t generated_count() const { return sent_.size(); }
   [[nodiscard]] std::uint64_t processed_events() const {
     return processed_events_;
@@ -130,7 +119,7 @@ class DelayTracker {
 
  private:
   std::unordered_map<Mid, Tick> sent_;
-  std::unordered_map<Mid, std::vector<std::pair<ProcessId, Tick>>> processed_;
+  std::unordered_map<Mid, std::vector<Tick>> processed_;
   std::uint64_t processed_events_ = 0;
 
   obs::Registry* registry_ = nullptr;

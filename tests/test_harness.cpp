@@ -203,7 +203,6 @@ TEST(Experiment, ReportSeriesArePopulated) {
   config.seed = 3;
   auto report = Experiment(config).run();
   EXPECT_FALSE(report.history_max.empty());
-  EXPECT_FALSE(report.history_avg.empty());
   EXPECT_FALSE(report.waiting_max.empty());
   EXPECT_GT(report.decisions.size(), 0u);
   EXPECT_EQ(report.processes.size(), 4u);

@@ -1,6 +1,5 @@
-// Baseline runner end-to-end checks, decoder robustness against random
-// bytes (a hostile/corrupted subnet must never crash a process), and the
-// DelayTracker::relative_delays anchor logic.
+// Baseline runner end-to-end checks and decoder robustness against random
+// bytes (a hostile/corrupted subnet must never crash a process).
 
 #include <gtest/gtest.h>
 
@@ -146,31 +145,6 @@ TEST(PduFuzz, BitFlipsNeverCrash) {
     }
   }
   SUCCEED();
-}
-
-// ---------------- stats ----------------
-
-TEST(RelativeDelays, AnchorsAtEarliestProcessing) {
-  stats::DelayTracker tracker;
-  tracker.on_processed({0, 1}, 0, 100);  // sender processes at generation
-  tracker.on_processed({0, 1}, 1, 108);
-  tracker.on_processed({0, 1}, 2, 115);
-  auto delays = tracker.relative_delays();
-  std::sort(delays.begin(), delays.end());
-  ASSERT_EQ(delays.size(), 3u);
-  EXPECT_DOUBLE_EQ(delays[0], 0.0);
-  EXPECT_DOUBLE_EQ(delays[1], 8.0);
-  EXPECT_DOUBLE_EQ(delays[2], 15.0);
-}
-
-TEST(RelativeDelays, IndependentOfRecordingOrder) {
-  stats::DelayTracker tracker;
-  tracker.on_processed({0, 1}, 2, 115);
-  tracker.on_processed({0, 1}, 0, 100);
-  auto delays = tracker.relative_delays();
-  std::sort(delays.begin(), delays.end());
-  EXPECT_DOUBLE_EQ(delays[0], 0.0);
-  EXPECT_DOUBLE_EQ(delays[1], 15.0);
 }
 
 }  // namespace

@@ -322,9 +322,15 @@ TEST(CrossBackend, CrashFaultToleratedOnBothBackends) {
 }
 
 TEST(CrossBackend, OmissionSchedulePassesOnAllBackends) {
-  // Omission draws are made inside net::Network on the sender side, so the
-  // same seeded fault schedule drives all three backends — the socket
-  // layer only ever moves bytes that survived the draw.
+  // Omission draws are made inside net::Network on the sender side, but on
+  // the threads and socket backends sender threads reach the network's rng
+  // and the fault injector in whatever order the scheduler lets them, so
+  // only the simulator replays the seed-23 schedule exactly. Under another
+  // schedule a member that misses K REQUESTs is cut and halts by suicide —
+  // an outcome the paper's omission model allows (the same config on sim
+  // halts a member for some seeds too). The real-time backends must still
+  // quiesce with every clause intact and never report a crash nobody
+  // scheduled; whenever no member halted, the counts are exact.
   auto config = workload_config(6, 100, 23);
   config.faults.omission_prob = 0.05;
   config.thread_tick_ns = 0;
@@ -332,12 +338,22 @@ TEST(CrossBackend, OmissionSchedulePassesOnAllBackends) {
                        harness::Backend::kSocket}) {
     config.backend = backend;
     const auto report = harness::Experiment(config).run();
-    EXPECT_TRUE(report.quiescent) << "backend " << static_cast<int>(backend);
+    const int tag = static_cast<int>(backend);
+    EXPECT_TRUE(report.quiescent) << "backend " << tag;
     EXPECT_TRUE(report.all_ok())
-        << "backend " << static_cast<int>(backend) << ": "
+        << "backend " << tag << ": "
         << (report.violations.empty() ? "" : report.violations.front());
-    EXPECT_EQ(report.generated, 100u);
-    EXPECT_EQ(report.processed_events, 100u * 6);
+    for (const auto& halt : report.halts) {
+      EXPECT_NE(halt.reason, core::HaltReason::kCrashFault)
+          << "backend " << tag << ": p" << halt.p;
+    }
+    if (backend == harness::Backend::kSim) {
+      EXPECT_TRUE(report.halts.empty());
+    }
+    if (report.halts.empty()) {
+      EXPECT_EQ(report.generated, 100u) << "backend " << tag;
+      EXPECT_EQ(report.processed_events, 100u * 6) << "backend " << tag;
+    }
   }
 }
 

@@ -93,16 +93,6 @@ TEST(DelayTracker, MeanOverPairs) {
   EXPECT_DOUBLE_EQ(s.mean, (0 + 10 + 30) / 3.0);
 }
 
-TEST(DelayTracker, CompletionIsMax) {
-  stats::DelayTracker t;
-  t.on_generated({0, 1}, 100);
-  t.on_processed({0, 1}, 1, 110);
-  t.on_processed({0, 1}, 2, 130);
-  auto completion = t.completion_ticks();
-  ASSERT_EQ(completion.size(), 1u);
-  EXPECT_DOUBLE_EQ(completion[0], 30.0);
-}
-
 TEST(DelayTracker, OrphanProcessingIgnored) {
   stats::DelayTracker t;
   t.on_processed({9, 9}, 1, 50);  // never recorded as generated

@@ -96,7 +96,7 @@ TEST(SharedBuffer, RvalueVectorConvertsImplicitly) {
 // ---- Fan-out behaviour on the subnet -----------------------------------
 
 struct SimRig {
-  explicit SimRig(int n, double loss, bool per_copy, std::uint64_t seed = 7)
+  explicit SimRig(int n, double loss, std::uint64_t seed = 7)
       : injector(
             [&] {
               fault::FaultPlan plan(n);
@@ -104,10 +104,7 @@ struct SimRig {
               return plan;
             }(),
             Rng(seed).fork(1)),
-        network(sim, injector,
-                {.min_latency = 1,
-                 .max_latency = 4,
-                 .per_copy_payloads = per_copy},
+        network(sim, injector, {.min_latency = 1, .max_latency = 4},
                 Rng(seed).fork(2)) {}
 
   sim::Simulation sim;
@@ -117,7 +114,7 @@ struct SimRig {
 
 TEST(ZeroCopyFanOut, BroadcastSharesOneBufferAcrossAllDeliveries) {
   constexpr int kN = 8;
-  SimRig rig(kN, /*loss=*/0.0, /*per_copy=*/false);
+  SimRig rig(kN, /*loss=*/0.0);
   std::vector<net::Packet> received;
   for (ProcessId p = 0; p < kN; ++p) {
     rig.network.attach(p, [&](const net::Packet& packet) {
@@ -135,79 +132,71 @@ TEST(ZeroCopyFanOut, BroadcastSharesOneBufferAcrossAllDeliveries) {
   const BufferStats delta = buffer_stats() - before;
   EXPECT_EQ(delta.allocations, 0u);  // the whole fan-out allocated nothing
   EXPECT_EQ(delta.bytes_copied, 0u);
-  EXPECT_EQ(rig.network.stats().payload_copies, 0u);
 }
 
-TEST(ZeroCopyFanOut, PerCopyModeClonesEveryAliasedDatagram) {
-  constexpr int kN = 8;
-  SimRig rig(kN, /*loss=*/0.0, /*per_copy=*/true);
+/// The payload a scripted run broadcasts in `round`: `len` bytes counting
+/// up from `first`, so a delivered datagram names the round it came from.
+std::vector<std::uint8_t> script_payload(std::size_t len, int first) {
+  std::vector<std::uint8_t> payload(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    payload[i] = static_cast<std::uint8_t>(first + static_cast<int>(i));
+  }
+  return payload;
+}
+
+/// Every round r < 20, process r % 6 broadcasts script_payload(16 + r % 5,
+/// r) under 30 % subnet loss. Each copy takes its own drop and latency
+/// draw; the copies that arrive must still be the sender's bytes, and the
+/// whole run must copy none of them.
+TEST(ZeroCopyFanOut, OmissionRunCopiesNothingAndDeliversSentBytes) {
+  constexpr int kN = 6;
+  constexpr int kRounds = 20;
+  SimRig rig(kN, /*loss=*/0.3);
   std::vector<net::Packet> received;
   for (ProcessId p = 0; p < kN; ++p) {
     rig.network.attach(p, [&](const net::Packet& packet) {
       received.push_back(packet);
     });
   }
-  const SharedBuffer frame = SharedBuffer::take(bytes_of({1, 2, 3, 4}));
-  rig.network.broadcast(0, frame);
-  rig.sim.run_until(100);
-  ASSERT_EQ(received.size(), static_cast<std::size_t>(kN - 1));
-  for (const net::Packet& packet : received) {
-    EXPECT_FALSE(packet.payload.aliases(frame));
-    EXPECT_EQ(packet.payload, frame);  // same bytes, private storage
-  }
-  EXPECT_EQ(rig.network.stats().payload_copies,
-            static_cast<std::uint64_t>(kN - 1));
-  EXPECT_EQ(rig.network.stats().payload_bytes_copied,
-            static_cast<std::uint64_t>(4 * (kN - 1)));
-}
-
-/// One scripted traffic pattern, delivered under omission faults, recorded
-/// as (dst, tick, bytes) — the sequence both payload modes must reproduce
-/// bit-for-bit (drop and latency draws are independent of the mode).
-struct Delivery {
-  ProcessId dst;
-  Tick at;
-  std::vector<std::uint8_t> bytes;
-  bool operator==(const Delivery&) const = default;
-};
-
-std::vector<Delivery> run_scripted_sim(bool per_copy) {
-  constexpr int kN = 6;
-  SimRig rig(kN, /*loss=*/0.3, per_copy);
-  std::vector<Delivery> deliveries;
-  for (ProcessId p = 0; p < kN; ++p) {
-    rig.network.attach(p, [&deliveries, &rig](const net::Packet& packet) {
-      deliveries.push_back({packet.dst, rig.sim.now(),
-                            {packet.payload.view().begin(),
-                             packet.payload.view().end()}});
-    });
-  }
+  std::uint64_t broadcasts = 0;
   rig.sim.on_round([&](RoundId round) {
-    if (round >= 20) return;
-    const auto sender = static_cast<ProcessId>(round % kN);
-    std::vector<std::uint8_t> payload(16 + round % 5);
-    for (std::size_t i = 0; i < payload.size(); ++i) {
-      payload[i] = static_cast<std::uint8_t>(round + i);
-    }
-    rig.network.broadcast(sender, std::move(payload));
+    if (round >= kRounds) return;
+    const auto r = static_cast<int>(round);
+    rig.network.broadcast(static_cast<ProcessId>(r % kN),
+                          script_payload(16 + r % 5, r));
+    ++broadcasts;
   });
+  const BufferStats before = buffer_stats();
   rig.sim.run_until(400);
-  return deliveries;
+  const BufferStats delta = buffer_stats() - before;
+
+  EXPECT_EQ(delta.bytes_copied, 0u);
+  EXPECT_EQ(delta.allocations, broadcasts);  // one frame per broadcast
+  const net::NetStats stats = rig.network.stats();
+  EXPECT_GT(stats.packets_dropped, 0u);  // the loss actually bit
+  ASSERT_FALSE(received.empty());
+  EXPECT_EQ(received.size(), stats.packets_delivered);
+  std::vector<std::vector<bool>> seen(kN, std::vector<bool>(kRounds, false));
+  for (const net::Packet& packet : received) {
+    ASSERT_FALSE(packet.payload.empty());
+    const int r = packet.payload.view()[0];
+    ASSERT_LT(r, kRounds);
+    EXPECT_EQ(packet.src, r % kN);
+    EXPECT_NE(packet.dst, packet.src);
+    EXPECT_EQ(packet.payload, script_payload(16 + r % 5, r))
+        << "round " << r << " to p" << packet.dst;
+    EXPECT_FALSE(seen[packet.dst][r]) << "duplicate of round " << r;
+    seen[packet.dst][r] = true;
+  }
 }
 
-TEST(ZeroCopyFanOut, SharedAndPerCopyDeliverIdenticalBytesUnderOmission) {
-  const auto shared = run_scripted_sim(/*per_copy=*/false);
-  const auto cloned = run_scripted_sim(/*per_copy=*/true);
-  ASSERT_FALSE(shared.empty());
-  EXPECT_EQ(shared, cloned);
-}
-
-/// Threaded-backend counterpart: a single sender keeps the network's rng
-/// sequence deterministic (drop/latency draws happen at send time, on the
-/// sender's context), so both modes must deliver the same per-destination
-/// byte sequences even with real threads racing.
-std::vector<std::vector<std::uint8_t>> run_scripted_threads(bool per_copy) {
+/// Threaded-backend counterpart: p0 broadcasts script_payload(8, 17 * r)
+/// in each round r < 15 under 30 % loss while every destination consumes
+/// on its own thread. The run copies 0 bytes and each arrival is exactly
+/// one round's payload, at most once per destination.
+TEST(ZeroCopyFanOut, ThreadedRunCopiesNothingAndDeliversSentBytes) {
   constexpr int kN = 4;
+  constexpr int kRounds = 15;
   rt::ThreadedConfig tc;
   tc.n = kN;
   tc.clock = rt::RoundClock(10);
@@ -216,42 +205,44 @@ std::vector<std::vector<std::uint8_t>> run_scripted_threads(bool per_copy) {
   fault::FaultPlan plan(kN);
   plan.packet_loss(0.3);
   fault::FaultInjector injector(std::move(plan), Rng(5).fork(1));
-  net::Network network(rt, injector,
-                       {.min_latency = 1,
-                        .max_latency = 4,
-                        .per_copy_payloads = per_copy},
+  net::Network network(rt, injector, {.min_latency = 1, .max_latency = 4},
                        Rng(5).fork(2));
-  // logs[p] is only ever touched by p's own thread; the run_until barrier
-  // publishes the final contents to this thread.
-  std::vector<std::vector<std::uint8_t>> logs(kN);
+  // received[p] is only ever touched by p's own thread; the run_until
+  // barrier publishes the final contents to this thread.
+  std::vector<std::vector<net::Packet>> received(kN);
   for (ProcessId p = 0; p < kN; ++p) {
-    network.attach(p, [&logs, p](const net::Packet& packet) {
-      logs[p].insert(logs[p].end(), packet.payload.view().begin(),
-                     packet.payload.view().end());
+    network.attach(p, [&received, p](const net::Packet& packet) {
+      received[p].push_back(packet);
     });
   }
   rt.on_round(0, [&network](RoundId round) {
-    if (round >= 15) return;
-    std::vector<std::uint8_t> payload(8);
-    for (std::size_t i = 0; i < payload.size(); ++i) {
-      payload[i] = static_cast<std::uint8_t>(round * 17 + i);
-    }
-    network.broadcast(0, std::move(payload));
+    if (round >= kRounds) return;
+    network.broadcast(0, script_payload(8, 17 * static_cast<int>(round)));
   });
+  const BufferStats before = buffer_stats();
   rt.run_until(300);
-  return logs;
-}
+  const BufferStats delta = buffer_stats() - before;
 
-TEST(ZeroCopyFanOut, SharedAndPerCopyAgreeOnThreadedBackend) {
-  const auto shared = run_scripted_threads(/*per_copy=*/false);
-  const auto cloned = run_scripted_threads(/*per_copy=*/true);
-  ASSERT_EQ(shared.size(), cloned.size());
-  bool anything_delivered = false;
-  for (std::size_t p = 0; p < shared.size(); ++p) {
-    EXPECT_EQ(shared[p], cloned[p]) << "destination " << p;
-    anything_delivered |= !shared[p].empty();
+  EXPECT_EQ(delta.bytes_copied, 0u);
+  EXPECT_TRUE(received[0].empty());  // no self-delivery
+  std::size_t delivered = 0;
+  for (ProcessId p = 1; p < kN; ++p) {
+    std::vector<bool> seen(kRounds, false);
+    for (const net::Packet& packet : received[p]) {
+      ASSERT_EQ(packet.payload.size(), 8u);
+      const int first = packet.payload.view()[0];
+      ASSERT_EQ(first % 17, 0) << "p" << p;
+      const int r = first / 17;
+      ASSERT_LT(r, kRounds);
+      EXPECT_EQ(packet.src, 0);
+      EXPECT_EQ(packet.payload, script_payload(8, first)) << "p" << p;
+      EXPECT_FALSE(seen[r]) << "p" << p << " got round " << r << " twice";
+      seen[r] = true;
+    }
+    delivered += received[p].size();
   }
-  EXPECT_TRUE(anything_delivered);
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(delivered, network.stats().packets_delivered);
 }
 
 }  // namespace

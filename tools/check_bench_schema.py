@@ -29,7 +29,6 @@ TOP_LEVEL = {
 THROUGHPUT_RUN_FIELDS = {
     "protocol": str,
     "backend": str,
-    "payload_mode": str,
     "pipeline_k": int,
     "round_us": int,
     "n": int,
@@ -101,7 +100,6 @@ SCALE_RUN_FIELDS = {
 
 PROTOCOLS = {"urcgc", "cbcast", "psync"}
 BACKENDS = {"sim", "threads", "socket"}
-PAYLOAD_MODES = {"shared", "per_copy"}
 ENCODINGS = {"full", "delta"}
 
 # bench_scale's acceptance gate: from this group size up, the delta
@@ -132,9 +130,6 @@ def check_throughput_run(run, where, err):
     if run["protocol"] not in PROTOCOLS:
         err(f"{where}.protocol {run['protocol']!r} not in "
             f"{sorted(PROTOCOLS)}")
-    if run["payload_mode"] not in PAYLOAD_MODES:
-        err(f"{where}.payload_mode {run['payload_mode']!r} not in "
-            f"{sorted(PAYLOAD_MODES)}")
     if run["pipeline_k"] < 1:
         err(f"{where}.pipeline_k must be >= 1")
     if run["pipeline_k"] > 1 and run["protocol"] != "urcgc":
@@ -149,11 +144,10 @@ def check_throughput_run(run, where, err):
         # Every generated message is delivered at least at its origin.
         err(f"{where}: delivered {run['messages_delivered']} < "
             f"generated {run['messages_generated']}")
-    if (run["payload_mode"] == "shared" and run["buffer_bytes_copied"]
-            and run["backend"] != "socket"):
+    if run["buffer_bytes_copied"] and run["backend"] != "socket":
         # Socket runs legitimately copy once per received datagram (kernel
         # buffer -> SharedBuffer); the in-memory subnets must stay zero-copy.
-        err(f"{where}: shared-mode run copied "
+        err(f"{where}: {run['backend']} run copied "
             f"{run['buffer_bytes_copied']} bytes (zero-copy regression)")
 
 
