@@ -247,20 +247,26 @@ Options parse(int argc, char** argv) {
     };
     if (arg == "--quick") {
       options.quick = true;
-    } else if (const char* v = value("--json=")) {
-      options.json_path = v;
-    } else if (const char* v = value("--messages=")) {
-      options.messages = std::atoll(v);
-    } else if (const char* v = value("--seed=")) {
-      options.seed = std::strtoull(v, nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument %s\n"
-                   "usage: bench_scale [--json=FILE] [--quick] "
-                   "[--messages=N] [--seed=S]\n",
-                   arg.c_str());
-      std::exit(2);
+      continue;
     }
+    if (const char* v = value("--json=")) {
+      options.json_path = v;
+      continue;
+    }
+    if (const char* v = value("--messages=")) {
+      options.messages = std::atoll(v);
+      continue;
+    }
+    if (const char* v = value("--seed=")) {
+      options.seed = std::strtoull(v, nullptr, 10);
+      continue;
+    }
+    std::fprintf(stderr,
+                 "unknown argument %s\n"
+                 "usage: bench_scale [--json=FILE] [--quick] "
+                 "[--messages=N] [--seed=S]\n",
+                 arg.c_str());
+    std::exit(2);
   }
   return options;
 }

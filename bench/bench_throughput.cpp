@@ -255,26 +255,36 @@ Options parse(int argc, char** argv) {
     };
     if (arg == "--quick") {
       options.quick = true;
-    } else if (const char* v = value("--json=")) {
-      options.json_path = v;
-    } else if (const char* v = value("--backend=")) {
-      options.backend = v;
-    } else if (const char* v = value("--protocol=")) {
-      options.protocol = v;
-    } else if (const char* v = value("--messages=")) {
-      options.messages = std::atoll(v);
-    } else if (const char* v = value("--seed=")) {
-      options.seed = std::strtoull(v, nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument %s\n"
-                   "usage: bench_throughput [--json=FILE] [--quick] "
-                   "[--backend=sim|threads|socket|all] "
-                   "[--protocol=urcgc|cbcast|psync|all] [--messages=N] "
-                   "[--seed=S]\n",
-                   arg.c_str());
-      std::exit(2);
+      continue;
     }
+    if (const char* v = value("--json=")) {
+      options.json_path = v;
+      continue;
+    }
+    if (const char* v = value("--backend=")) {
+      options.backend = v;
+      continue;
+    }
+    if (const char* v = value("--protocol=")) {
+      options.protocol = v;
+      continue;
+    }
+    if (const char* v = value("--messages=")) {
+      options.messages = std::atoll(v);
+      continue;
+    }
+    if (const char* v = value("--seed=")) {
+      options.seed = std::strtoull(v, nullptr, 10);
+      continue;
+    }
+    std::fprintf(stderr,
+                 "unknown argument %s\n"
+                 "usage: bench_throughput [--json=FILE] [--quick] "
+                 "[--backend=sim|threads|socket|all] "
+                 "[--protocol=urcgc|cbcast|psync|all] [--messages=N] "
+                 "[--seed=S]\n",
+                 arg.c_str());
+    std::exit(2);
   }
   return options;
 }

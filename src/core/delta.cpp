@@ -9,7 +9,7 @@
 namespace urcgc::core {
 
 std::uint64_t decision_digest(const Decision& d) {
-  wire::Writer w(128);
+  wire::Writer w(decision_body_size(d));
   encode_decision_body(w, d);
   std::uint64_t h = 14695981039346656037ULL;  // FNV-1a 64-bit offset basis
   for (std::uint8_t byte : w.view()) {
@@ -19,14 +19,28 @@ std::uint64_t decision_digest(const Decision& d) {
   return h;
 }
 
+const DecisionCache::Entry* DecisionCache::find_equal(
+    const Decision& d) const {
+  for (const Entry& e : entries_) {
+    if (e.decision.decided_at == d.decided_at && e.decision == d) return &e;
+  }
+  return nullptr;
+}
+
 void DecisionCache::insert(const Decision& d) {
   if (capacity_ == 0 || d.decided_at < 0) return;
+  if (find_equal(d) != nullptr) return;  // a duplicate: nothing to hash
+  // Unequal decisions can still encode alike (seqs travel as u32), and
+  // the wire names them alike: keep the first.
   const std::uint64_t digest = decision_digest(d);
-  for (const Entry& e : entries_) {
-    if (e.decision.decided_at == d.decided_at && e.digest == digest) return;
-  }
+  if (find(d.decided_at, digest) != nullptr) return;
   entries_.push_back(Entry{digest, d});
   while (entries_.size() > capacity_) entries_.pop_front();
+}
+
+std::uint64_t DecisionCache::digest_of(const Decision& d) const {
+  const Entry* e = find_equal(d);
+  return e != nullptr ? e->digest : decision_digest(d);
 }
 
 const Decision* DecisionCache::find(SubrunId decided_at,
@@ -103,10 +117,11 @@ bool decision_delta_eligible(const Decision& d, const Decision& anchor,
 }
 
 void encode_decision_delta_body(wire::Writer& w, const Decision& d,
-                                const Decision& anchor) {
+                                const Decision& anchor,
+                                std::uint64_t anchor_digest) {
   URCGC_ASSERT(d.n() == anchor.n());
   w.i64(anchor.decided_at);
-  w.u64(decision_digest(anchor));
+  w.u64(anchor_digest);
   w.i64(d.decided_at);
   w.u16(d.coordinator == kNoProcess
             ? kNoProcessWire
@@ -152,7 +167,8 @@ Result<Decision, wire::DecodeError> decode_decision_delta_body(
     return Unexpected(wire::DecodeError::kBadValue);
   }
 
-  Decision d = *anchor;
+  // Every field is read or rebuilt below; the anchor is only consulted.
+  Decision d;
   auto decided_at = r.i64();
   if (!decided_at) return Unexpected(decided_at.error());
   if (decided_at.value() <= anchor->decided_at) {
@@ -249,13 +265,14 @@ bool request_delta_eligible(const Request& rq, const Config& config) {
   return true;
 }
 
-void encode_request_delta_body(wire::Writer& w, const Request& rq) {
+void encode_request_delta_body(wire::Writer& w, const Request& rq,
+                               std::uint64_t anchor_digest) {
   const Decision& anchor = rq.prev_decision;
   w.i64(rq.subrun);
   w.u16(rq.from == kNoProcess ? kNoProcessWire
                               : static_cast<std::uint16_t>(rq.from));
   w.i64(anchor.decided_at);
-  w.u64(decision_digest(anchor));
+  w.u64(anchor_digest);
   // The sender's processed prefixes track the group maximum the anchor
   // advertises except where traffic moved since — overrides stay O(active
   // senders), not O(n).

@@ -43,6 +43,10 @@ namespace urcgc::core {
 /// Bounded FIFO of recent decisions, keyed by (decided_at, digest):
 /// everything a process has applied, computed or decoded lately, usable
 /// as a delta anchor in either direction. Duplicate inserts are merged.
+/// Each entry keeps its digest, so a process hashes each distinct decision
+/// at most once while it stays cached: an equal re-insert is found by
+/// content and hashes nothing, and writers take an anchor's digest from
+/// digest_of() rather than re-hashing it.
 class DecisionCache {
  public:
   explicit DecisionCache(std::size_t capacity) : capacity_(capacity) {}
@@ -56,11 +60,16 @@ class DecisionCache {
   }
 
   /// Inserts a copy of `d` (no-op for the initial decision and for
-  /// already-cached keys), evicting the oldest entry past capacity.
+  /// already-cached keys), evicting the oldest entry past capacity. Only
+  /// a decision no cached entry equals is hashed.
   void insert(const Decision& d);
 
   [[nodiscard]] const Decision* find(SubrunId decided_at,
                                      std::uint64_t digest) const;
+
+  /// decision_digest(d), read from the cached entry equal to `d` when
+  /// there is one and computed otherwise.
+  [[nodiscard]] std::uint64_t digest_of(const Decision& d) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -70,6 +79,8 @@ class DecisionCache {
     std::uint64_t digest = 0;
     Decision decision;
   };
+  [[nodiscard]] const Entry* find_equal(const Decision& d) const;
+
   std::deque<Entry> entries_;
   std::size_t capacity_;
 };
@@ -93,10 +104,12 @@ struct DecodeContext {
                                            const Config& config);
 
 /// Appends the delta body of `d` against `anchor` (anchor reference
-/// included; PDU type byte excluded). Precondition:
-/// decision_delta_eligible(d, anchor, config).
+/// included; PDU type byte excluded). `anchor_digest` is
+/// decision_digest(anchor), usually read from a DecisionCache.
+/// Precondition: decision_delta_eligible(d, anchor, config).
 void encode_decision_delta_body(wire::Writer& w, const Decision& d,
-                                const Decision& anchor);
+                                const Decision& anchor,
+                                std::uint64_t anchor_digest);
 
 /// Reads a delta decision body and reconstructs the full decision from
 /// the cached anchor. A wire-valid frame whose anchor is absent from
@@ -114,7 +127,9 @@ void encode_decision_delta_body(wire::Writer& w, const Decision& d,
 /// subrun, sender, anchor reference standing in for the embedded
 /// prev_decision, last_processed as overrides against the anchor's
 /// max_processed, and oldest_waiting as overrides against all-kNoSeq.
-void encode_request_delta_body(wire::Writer& w, const Request& rq);
+/// `anchor_digest` is decision_digest(rq.prev_decision).
+void encode_request_delta_body(wire::Writer& w, const Request& rq,
+                               std::uint64_t anchor_digest);
 
 [[nodiscard]] Result<Request, wire::DecodeError> decode_request_delta_body(
     wire::Reader& r, DecodeContext& ctx);

@@ -36,30 +36,53 @@ constexpr std::uint16_t kNoProcessWire = 0xFFFF;
 
 void put_pids(wire::Writer& w, const std::vector<ProcessId>& pids) {
   w.u32(static_cast<std::uint32_t>(pids.size()));
-  for (ProcessId p : pids) {
-    w.u16(p == kNoProcess ? kNoProcessWire : static_cast<std::uint16_t>(p));
+  std::uint8_t* p = w.extend(2 * pids.size());
+  for (ProcessId pid : pids) {
+    wire::store_be16(p, pid == kNoProcess ? kNoProcessWire
+                                          : static_cast<std::uint16_t>(pid));
+    p += 2;
   }
 }
 
 Result<std::vector<ProcessId>, wire::DecodeError> get_pids(wire::Reader& r) {
   auto count = r.u32();
   if (!count) return Unexpected(count.error());
-  if (count.value() * 2ULL > r.remaining()) {
+  std::span<const std::uint8_t> bytes;
+  if (!r.take(count.value() * 2ULL, bytes)) {
     return Unexpected(wire::DecodeError::kTruncated);
   }
-  std::vector<ProcessId> pids;
-  pids.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto p = r.u16();
-    if (!p) return Unexpected(p.error());
-    pids.push_back(p.value() == kNoProcessWire
-                       ? kNoProcess
-                       : static_cast<ProcessId>(p.value()));
+  std::vector<ProcessId> pids(count.value());
+  for (std::size_t i = 0; i < pids.size(); ++i) {
+    const std::uint16_t p = wire::load_be16(bytes.data() + 2 * i);
+    pids[i] = p == kNoProcessWire ? kNoProcess : static_cast<ProcessId>(p);
   }
   return pids;
 }
 
+/// The digest naming `anchor` on the wire: the sender's cached copy when
+/// it holds one, a fresh hash otherwise.
+std::uint64_t anchor_digest(const Decision& anchor,
+                            const DecisionCache* anchors) {
+  return anchors != nullptr ? anchors->digest_of(anchor)
+                            : decision_digest(anchor);
+}
+
 }  // namespace
+
+std::size_t decision_body_size(const Decision& d) {
+  const auto seqs = [](const std::vector<Seq>& v) { return 4 + 4 * v.size(); };
+  const auto bools = [](const std::vector<bool>& v) {
+    return 4 + (v.size() + 7) / 8;
+  };
+  std::size_t size = 8 + 4 + 1 + seqs(d.clean_upto) + seqs(d.stable_acc) +
+                     bools(d.heard) + seqs(d.max_processed) +
+                     (4 + 2 * d.most_updated.size()) + seqs(d.min_waiting) +
+                     (4 + d.attempts.size()) + bools(d.alive) + 8 + 4;
+  for (const StabilityBoundary& boundary : d.boundaries) {
+    size += 8 + seqs(boundary.clean_upto);
+  }
+  return size;
+}
 
 void encode_decision_body(wire::Writer& w, const Decision& d) {
   w.i64(d.decided_at);
@@ -158,7 +181,9 @@ std::vector<std::uint8_t> encode_pdu(const AppMessage& msg) {
 }
 
 std::vector<std::uint8_t> encode_pdu(const Request& rq) {
-  wire::Writer w(128);
+  wire::Writer w(1 + 8 + 4 + 4 + 4 * rq.last_processed.size() + 4 +
+                 4 * rq.oldest_waiting.size() +
+                 decision_body_size(rq.prev_decision));
   w.u8(static_cast<std::uint8_t>(PduType::kRequest));
   w.i64(rq.subrun);
   w.i32(rq.from);
@@ -169,7 +194,7 @@ std::vector<std::uint8_t> encode_pdu(const Request& rq) {
 }
 
 std::vector<std::uint8_t> encode_pdu(const Decision& d) {
-  wire::Writer w(128);
+  wire::Writer w(1 + decision_body_size(d));
   w.u8(static_cast<std::uint8_t>(PduType::kDecision));
   encode_decision_body(w, d);
   return std::move(w).take();
@@ -177,11 +202,13 @@ std::vector<std::uint8_t> encode_pdu(const Decision& d) {
 
 std::vector<std::uint8_t> encode_request_pdu(const Request& rq,
                                              const Config& config,
-                                             bool* was_delta) {
+                                             bool* was_delta,
+                                             const DecisionCache* anchors) {
   if (request_delta_eligible(rq, config)) {
     wire::Writer w(64);
     w.u8(static_cast<std::uint8_t>(PduType::kRequestDelta));
-    encode_request_delta_body(w, rq);
+    encode_request_delta_body(w, rq,
+                              anchor_digest(rq.prev_decision, anchors));
     if (was_delta != nullptr) *was_delta = true;
     return std::move(w).take();
   }
@@ -193,11 +220,13 @@ std::vector<std::uint8_t> encode_decision_pdu(const Decision& d,
                                               const Decision& anchor,
                                               const Config& config,
                                               bool receivers_hold_anchor,
-                                              bool* was_delta) {
+                                              bool* was_delta,
+                                              const DecisionCache* anchors) {
   if (receivers_hold_anchor && decision_delta_eligible(d, anchor, config)) {
     wire::Writer w(64);
     w.u8(static_cast<std::uint8_t>(PduType::kDecisionDelta));
-    encode_decision_delta_body(w, d, anchor);
+    encode_decision_delta_body(w, d, anchor,
+                               anchor_digest(anchor, anchors));
     if (was_delta != nullptr) *was_delta = true;
     return std::move(w).take();
   }

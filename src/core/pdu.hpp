@@ -212,8 +212,13 @@ using Pdu = std::variant<AppMessage, Request, Decision, RecoverRq, RecoverRsp,
 /// DECISION frame, the tail of a full REQUEST, and the byte string
 /// delta.hpp's decision_digest() hashes to name anchors.
 void encode_decision_body(wire::Writer& w, const Decision& d);
+/// Exact byte length of encode_decision_body(d): the writers that carry a
+/// full body allocate their buffer once.
+[[nodiscard]] std::size_t decision_body_size(const Decision& d);
 [[nodiscard]] Result<Decision, wire::DecodeError> decode_decision_body(
     wire::Reader& r);
+
+class DecisionCache;  // delta.hpp: the sender's anchor window
 
 /// Encoding-dispatching control-plane encoders: produce a delta frame
 /// when the config selects kDelta and no full-snapshot trigger fires
@@ -222,8 +227,12 @@ void encode_decision_body(wire::Writer& w, const Decision& d);
 /// from; a REQUEST against its own embedded prev_decision. `was_delta`,
 /// when non-null, reports which frame kind was produced (the
 /// core.delta_fallbacks / core.control_bytes_{full,delta} accounting).
+/// `anchors`, when non-null, is the sender's DecisionCache: a delta frame
+/// takes the anchor's digest from it instead of re-hashing the anchor.
+/// The bytes are the same either way.
 [[nodiscard]] std::vector<std::uint8_t> encode_request_pdu(
-    const Request& rq, const Config& config, bool* was_delta = nullptr);
+    const Request& rq, const Config& config, bool* was_delta = nullptr,
+    const DecisionCache* anchors = nullptr);
 /// `receivers_hold_anchor` is the coordinator's receiver-coverage proof:
 /// true only when every alive receiver demonstrated (via this subrun's
 /// request embeds) that it already caches `anchor`. Delta DECISIONs chain
@@ -234,7 +243,8 @@ void encode_decision_body(wire::Writer& w, const Decision& d);
 /// single receipt, exactly like the full encoding does.
 [[nodiscard]] std::vector<std::uint8_t> encode_decision_pdu(
     const Decision& d, const Decision& anchor, const Config& config,
-    bool receivers_hold_anchor = true, bool* was_delta = nullptr);
+    bool receivers_hold_anchor = true, bool* was_delta = nullptr,
+    const DecisionCache* anchors = nullptr);
 
 struct DecodeContext;  // delta.hpp: anchor cache + anchor-miss signal
 

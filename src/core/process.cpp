@@ -360,7 +360,7 @@ void UrcgcProcess::send_request(SubrunId subrun) {
   }
   bool was_delta = false;
   std::vector<std::uint8_t> frame =
-      encode_request_pdu(rq, config_, &was_delta);
+      encode_request_pdu(rq, config_, &was_delta, &cache_);
   account_control(was_delta, frame.size(), 1);
   send_pdu(coordinator, std::move(frame), stats::MsgClass::kRequest);
 }
@@ -460,26 +460,27 @@ void UrcgcProcess::act_as_coordinator(SubrunId subrun) {
   }
   bool was_delta = false;
   std::vector<std::uint8_t> frame = encode_decision_pdu(
-      d, inputs.base, config_, receivers_hold_anchor, &was_delta);
+      d, inputs.base, config_, receivers_hold_anchor, &was_delta, &cache_);
   account_control(was_delta, frame.size(), d.n() - 1);
   broadcast_pdu(std::move(frame), stats::MsgClass::kDecision);
-  apply_decision(d);
+  apply_decision(std::move(d));
 }
 
-void UrcgcProcess::apply_decision(const Decision& d) {
+void UrcgcProcess::apply_decision(Decision decision) {
   if (config_.control_encoding == ControlEncoding::kDelta) {
     // Anchor window: received decisions were cached at decode time; this
     // covers the coordinator's own computed decision and keeps the set
     // complete even for stale arrivals.
-    cache_.insert(d);
+    cache_.insert(decision);
   }
-  if (d.decided_at <= latest_.decided_at) return;  // stale or duplicate
+  if (decision.decided_at <= latest_.decided_at) return;  // stale or duplicate
   // Views only ever widen along the decision chain; a fresher-numbered but
   // narrower decision is a pre-join-era fork (a healed zombie deciding on
   // its stale view) and adopting it would un-admit a member.
-  if (d.n() < latest_.n()) return;
+  if (decision.n() < latest_.n()) return;
   const int old_view = latest_.n();
-  latest_ = d;
+  latest_ = std::move(decision);
+  const Decision& d = latest_;
   if (d.n() > old_view) {
     // The view widened: recovery serve-cache entries encoded under the old
     // view must not revalidate (satellite: a post-join joiner must never
@@ -1049,7 +1050,7 @@ void UrcgcProcess::on_datagram(ProcessId src,
           // the widened view, so it passes (apply_decision still rejects
           // stale and narrower frames).
           if (src >= 0 && src < latest_.n() && !latest_.alive[src]) return;
-          apply_decision(payload);
+          apply_decision(std::move(payload));
         } else if constexpr (std::is_same_v<T, RecoverRq>) {
           handle_recover_rq(payload);
         } else if constexpr (std::is_same_v<T, RecoverRsp>) {

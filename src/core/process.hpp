@@ -229,7 +229,7 @@ class UrcgcProcess {
   MtEntity::SubmitResult submit_tracked(AppMessage msg, Tick now);
   void send_request(SubrunId subrun);
   void act_as_coordinator(SubrunId subrun);
-  void apply_decision(const Decision& d);
+  void apply_decision(Decision decision);
   void issue_recoveries(SubrunId subrun);
   /// Candidate servers for origin's gap starting at from_seq, in rotation
   /// order: the advertised most-updated holder, then the originator, then

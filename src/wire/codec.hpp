@@ -1,7 +1,13 @@
 #pragma once
 // Codec helpers layered on Writer/Reader: Mid, sequence vectors and other
-// aggregates shared by several PDUs.
+// aggregates shared by several PDUs. The per-member control vectors
+// (put/get_seqs32, _u8s, _bools) move in bulk: the writer grows once per
+// vector, and the reader takes the whole span once its length pre-check
+// passes — the pre-check is the only way a vector read can fail, so the
+// error kinds are those of an element-at-a-time codec.
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -71,62 +77,53 @@ inline void put_seqs(Writer& w, const std::vector<Seq>& seqs) {
 /// the in-memory type stays 64-bit.
 inline void put_seqs32(Writer& w, const std::vector<Seq>& seqs) {
   w.u32(static_cast<std::uint32_t>(seqs.size()));
-  for (Seq s : seqs) w.u32(static_cast<std::uint32_t>(s));
+  std::uint8_t* p = w.extend(4 * seqs.size());
+  for (Seq s : seqs) {
+    store_be32(p, static_cast<std::uint32_t>(s));
+    p += 4;
+  }
 }
 
 [[nodiscard]] inline Result<std::vector<Seq>, DecodeError> get_seqs32(
     Reader& r) {
   auto count = r.u32();
   if (!count) return Unexpected(count.error());
-  if (count.value() * 4ULL > r.remaining()) {
+  std::span<const std::uint8_t> bytes;
+  if (!r.take(count.value() * 4ULL, bytes)) {
     return Unexpected(DecodeError::kTruncated);
   }
-  std::vector<Seq> seqs;
-  seqs.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto s = r.u32();
-    if (!s) return Unexpected(s.error());
-    seqs.push_back(static_cast<Seq>(s.value()));
+  std::vector<Seq> seqs(count.value());
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    seqs[i] = static_cast<Seq>(load_be32(bytes.data() + 4 * i));
   }
   return seqs;
 }
 
 inline void put_u8s(Writer& w, const std::vector<std::uint8_t>& values) {
   w.u32(static_cast<std::uint32_t>(values.size()));
-  for (std::uint8_t v : values) w.u8(v);
+  std::copy(values.begin(), values.end(), w.extend(values.size()));
 }
 
 [[nodiscard]] inline Result<std::vector<std::uint8_t>, DecodeError> get_u8s(
     Reader& r) {
   auto count = r.u32();
   if (!count) return Unexpected(count.error());
-  if (count.value() > r.remaining()) {
+  std::span<const std::uint8_t> bytes;
+  if (!r.take(count.value(), bytes)) {
     return Unexpected(DecodeError::kTruncated);
   }
-  std::vector<std::uint8_t> values;
-  values.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto v = r.u8();
-    if (!v) return Unexpected(v.error());
-    values.push_back(v.value());
-  }
-  return values;
+  return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
 }
 
 inline void put_bools(Writer& w, const std::vector<bool>& values) {
   // Bit-packed: matches the paper's per-process state bitmaps.
   w.u32(static_cast<std::uint32_t>(values.size()));
-  std::uint8_t acc = 0;
-  int bit = 0;
-  for (bool v : values) {
-    if (v) acc = static_cast<std::uint8_t>(acc | (1u << bit));
-    if (++bit == 8) {
-      w.u8(acc);
-      acc = 0;
-      bit = 0;
+  std::uint8_t* p = w.extend((values.size() + 7) / 8);  // zero-filled
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (values[i]) {
+      p[i / 8] = static_cast<std::uint8_t>(p[i / 8] | (1u << (i % 8)));
     }
   }
-  if (bit != 0) w.u8(acc);
 }
 
 [[nodiscard]] inline Result<std::vector<bool>, DecodeError> get_bools(
@@ -139,17 +136,11 @@ inline void put_bools(Writer& w, const std::vector<bool>& values) {
   // a ULL element size, which already promotes to 64 bits.
   const std::uint64_t nbytes =
       (static_cast<std::uint64_t>(count.value()) + 7) / 8;
-  if (nbytes > r.remaining()) return Unexpected(DecodeError::kTruncated);
-  std::vector<bool> values;
-  values.reserve(count.value());
-  std::uint8_t acc = 0;
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    if (i % 8 == 0) {
-      auto b = r.u8();
-      if (!b) return Unexpected(b.error());
-      acc = b.value();
-    }
-    values.push_back((acc >> (i % 8)) & 1u);
+  std::span<const std::uint8_t> bytes;
+  if (!r.take(nbytes, bytes)) return Unexpected(DecodeError::kTruncated);
+  std::vector<bool> values(count.value());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = ((bytes[i / 8] >> (i % 8)) & 1u) != 0;
   }
   return values;
 }

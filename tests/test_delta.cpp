@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -206,6 +207,46 @@ TEST(DecisionCache, InsertFindDedupeEvict) {
   EXPECT_NE(cache.find(13, decision_digest(sample_decision(4, 13))), nullptr);
 }
 
+TEST(DecisionCache, DigestOfMatchesDecisionDigest) {
+  DecisionCache cache(8);
+  const Decision cached = sample_decision(6, 17);
+  cache.insert(cached);
+  const Decision uncached = sample_decision(6, 18);
+  Decision twin = cached;  // same subrun, different content
+  twin.max_processed[4] += 1;
+
+  EXPECT_EQ(cache.digest_of(cached), decision_digest(cached));
+  EXPECT_EQ(cache.digest_of(Decision(cached)), decision_digest(cached));
+  EXPECT_EQ(cache.digest_of(uncached), decision_digest(uncached));
+  EXPECT_EQ(cache.digest_of(twin), decision_digest(twin));
+  cache.insert(twin);
+  EXPECT_EQ(cache.digest_of(twin), decision_digest(twin));
+  EXPECT_EQ(cache.digest_of(cached), decision_digest(cached));
+}
+
+TEST(DecisionCache, EqualReinsertKeepsOneEntry) {
+  DecisionCache cache(8);
+  const Decision a = sample_decision(6, 17);
+  cache.insert(a);
+  cache.insert(Decision(a));  // an equal copy, not the same object
+  EXPECT_EQ(cache.size(), 1u);
+
+  Decision twin = a;
+  twin.clean_upto[1] += 1;
+  cache.insert(twin);
+  EXPECT_EQ(cache.size(), 2u) << "a same-subrun twin is a distinct anchor";
+
+  // Unequal, but alike on the wire: seqs travel as u32, so the digests
+  // collide and the wire could not tell the two apart — the first stays.
+  Decision alias = a;
+  alias.max_processed[2] += Seq{1} << 32;
+  ASSERT_NE(alias, a);
+  ASSERT_EQ(decision_digest(alias), decision_digest(a));
+  cache.insert(alias);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(*cache.find(a.decided_at, decision_digest(a)), a);
+}
+
 TEST(DecisionCache, WindowCoversPipelineDepth) {
   Config config;
   EXPECT_EQ(DecisionCache::window_for(config), 8u);  // max(8, 2*1+1)
@@ -345,6 +386,36 @@ TEST(DeltaFrames, FullModeBytesAreUnchanged) {
   was_delta = true;
   EXPECT_EQ(encode_request_pdu(rq, config, &was_delta), encode_pdu(rq));
   EXPECT_FALSE(was_delta);
+}
+
+TEST(DeltaFrames, CachedAnchorDigestKeepsBytes) {
+  // Writers read the anchor's digest from the sender's cache; the frame
+  // must be the one a fresh hash produces, cached anchor or not.
+  const Decision anchor = sample_decision(6, 17);
+  const Decision d = evolve(anchor);
+  const Config config = delta_config();
+  Request rq;
+  rq.subrun = 19;
+  rq.from = 2;
+  rq.prev_decision = d;
+  rq.last_processed = d.max_processed;
+  rq.last_processed[5] += 3;
+  rq.oldest_waiting.assign(6, kNoSeq);
+
+  const DecisionCache empty(8);
+  DecisionCache holding(8);
+  holding.insert(anchor);
+  holding.insert(d);
+  for (const DecisionCache* cache : {&empty, &std::as_const(holding)}) {
+    bool was_delta = false;
+    EXPECT_EQ(encode_decision_pdu(d, anchor, config, true, &was_delta, cache),
+              encode_decision_pdu(d, anchor, config));
+    EXPECT_TRUE(was_delta);
+    was_delta = false;
+    EXPECT_EQ(encode_request_pdu(rq, config, &was_delta, cache),
+              encode_request_pdu(rq, config));
+    EXPECT_TRUE(was_delta);
+  }
 }
 
 TEST(DeltaFrames, FullSnapshotTriggers) {
