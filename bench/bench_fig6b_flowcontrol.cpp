@@ -62,7 +62,7 @@ int main() {
              harness::Table::num(controlled.end_rtd, 0)});
   std::uint64_t blocked = 0;
   for (const auto& process : controlled.processes) {
-    blocked += process.flow_blocked_rounds;
+    blocked += process.counters.flow_blocked_rounds;
   }
   table.row({"flow-blocked rounds (total)", "0", harness::Table::num(blocked)});
   table.row({"invariants",

@@ -31,13 +31,12 @@
 //   bench_recovery [--json=FILE] [--quick] [--messages=N] [--seed=S]
 //   bench_recovery --soak [--messages=N] [--seed=S] [--backend=sim|threads|all]
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "obs/registry.hpp"
@@ -46,17 +45,7 @@
 namespace {
 
 using namespace urcgc;
-
-constexpr int kSchemaVersion = 1;
-
-struct Options {
-  std::string json_path;
-  bool quick = false;
-  bool soak = false;
-  std::string backend = "all";  // soak mode only; the sweep runs on sim
-  std::int64_t messages = 120;
-  std::uint64_t seed = 1;
-};
+using bench::Options;
 
 struct RunResult {
   std::string backend;
@@ -123,150 +112,102 @@ harness::ExperimentConfig soak_envelope(int n, double omission,
 
 RunResult run_point(const Options& options, bool threads, int n,
                     double omission, int batch, int joins = 0) {
-  const auto start = std::chrono::steady_clock::now();
-  harness::ExperimentConfig config =
-      soak_envelope(n, omission, options.messages, options.seed);
-  config.protocol.max_recover_batch = batch;
-  // The join leg: joiners request admission once histories are warm, so
-  // the snapshot catch-up has real traffic to replay.
-  for (int j = 0; j < joins; ++j) {
-    config.join_rtds.push_back(6.0 + 2.0 * j);
-  }
-  config.backend =
-      threads ? harness::Backend::kThreads : harness::Backend::kSim;
-  config.thread_tick_ns = 0;
-  obs::Registry registry(n + joins);
-  config.metrics = &registry;
-  const auto report = harness::Experiment(config).run();
+  return bench::timed([&] {
+    harness::ExperimentConfig config =
+        soak_envelope(n, omission, options.messages, options.seed);
+    config.protocol.max_recover_batch = batch;
+    // The join leg: joiners request admission once histories are warm, so
+    // the snapshot catch-up has real traffic to replay.
+    for (int j = 0; j < joins; ++j) {
+      config.join_rtds.push_back(6.0 + 2.0 * j);
+    }
+    config.backend =
+        threads ? harness::Backend::kThreads : harness::Backend::kSim;
+    config.thread_tick_ns = 0;
+    obs::Registry registry(n + joins);
+    config.metrics = &registry;
+    const auto report = harness::Experiment(config).run();
 
-  RunResult result;
-  result.backend = threads ? "threads" : "sim";
-  result.n = n;
-  result.omission = omission;
-  result.batch = batch;
-  result.joins = joins;
-  result.joins_admitted = static_cast<int>(report.joins.size());
-  result.seed = options.seed;
-  result.generated = report.generated;
-  for (const auto& p : report.processes) {
-    result.recoveries_issued += p.recoveries_issued;
-    result.recovery_batches += p.recovery_batches;
-    result.recovery_msgs += p.recovery_msgs;
-    result.recovery_continuations += p.recovery_continuations;
-    result.recovery_budget_exhausted += p.recovery_budget_exhausted;
-    result.recovery_cache_hits += p.recovery_cache_hits;
-    result.join_catchup_batches += p.join_catchup_batches;
-    result.join_catchup_msgs += p.join_catchup_msgs;
-    result.waiting_peak = std::max(result.waiting_peak, p.waiting_peak);
-    result.inbox_peak = std::max(result.inbox_peak, p.inbox_peak);
-    result.history_peak = std::max(result.history_peak, p.history_peak);
-  }
-  result.recover_rsp_bytes =
-      report.traffic.bytes(stats::MsgClass::kRecoverRsp);
-  const obs::Metric hist = registry.find("core.recovery_latency_rtd");
-  if (hist.valid()) {
-    const obs::HistogramSnapshot snap = registry.histogram_merged(hist);
-    result.latency_p50_rtd = snap.p50;
-    result.latency_p99_rtd = snap.p99;
-  }
-  const obs::Metric join_hist =
-      registry.find("core.join_catchup_latency_rtd");
-  if (join_hist.valid()) {
-    const obs::HistogramSnapshot snap = registry.histogram_merged(join_hist);
-    result.join_latency_p50_rtd = snap.p50;
-    result.join_latency_p99_rtd = snap.p99;
-  }
-  result.ok = report.all_ok() && report.quiescent &&
-              report.workload_exhausted &&
-              result.joins_admitted == joins &&
-              (config.protocol.waiting_cap == 0 ||
-               result.waiting_peak <= config.protocol.waiting_cap) &&
-              (config.protocol.inbox_cap == 0 ||
-               result.inbox_peak <= config.protocol.inbox_cap);
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
+    RunResult result;
+    result.backend = threads ? "threads" : "sim";
+    result.n = n;
+    result.omission = omission;
+    result.batch = batch;
+    result.joins = joins;
+    result.joins_admitted = static_cast<int>(report.joins.size());
+    result.seed = options.seed;
+    result.generated = report.generated;
+    for (const auto& p : report.processes) {
+      const core::UrcgcProcess::Counters& c = p.counters;
+      result.recoveries_issued += c.recoveries_issued;
+      result.recovery_batches += c.recovery_batches;
+      result.recovery_msgs += c.recovery_msgs;
+      result.recovery_continuations += c.recovery_continuations;
+      result.recovery_budget_exhausted += c.recovery_budget_exhausted;
+      result.recovery_cache_hits += c.recovery_cache_hits;
+      result.join_catchup_batches += c.join_catchup_batches;
+      result.join_catchup_msgs += c.join_catchup_msgs;
+      result.waiting_peak = std::max(result.waiting_peak, p.waiting_peak);
+      result.inbox_peak = std::max(result.inbox_peak, p.inbox_peak);
+      result.history_peak = std::max(result.history_peak, p.history_peak);
+    }
+    result.recover_rsp_bytes =
+        report.traffic.bytes(stats::MsgClass::kRecoverRsp);
+    const obs::Metric hist = registry.find("core.recovery_latency_rtd");
+    if (hist.valid()) {
+      const obs::HistogramSnapshot snap = registry.histogram_merged(hist);
+      result.latency_p50_rtd = snap.p50;
+      result.latency_p99_rtd = snap.p99;
+    }
+    const obs::Metric join_hist =
+        registry.find("core.join_catchup_latency_rtd");
+    if (join_hist.valid()) {
+      const obs::HistogramSnapshot snap = registry.histogram_merged(join_hist);
+      result.join_latency_p50_rtd = snap.p50;
+      result.join_latency_p99_rtd = snap.p99;
+    }
+    result.ok = report.all_ok() && report.quiescent &&
+                report.workload_exhausted &&
+                result.joins_admitted == joins &&
+                (config.protocol.waiting_cap == 0 ||
+                 result.waiting_peak <= config.protocol.waiting_cap) &&
+                (config.protocol.inbox_cap == 0 ||
+                 result.inbox_peak <= config.protocol.inbox_cap);
+    return result;
+  });
 }
 
-void write_json(const Options& options,
-                const std::vector<RunResult>& results) {
-  std::FILE* f = std::fopen(options.json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n",
-                 options.json_path.c_str());
-    std::exit(1);
-  }
-  char date[32] = "unknown";
-  const std::time_t now = std::time(nullptr);
-  std::tm tm_utc{};
-  if (gmtime_r(&now, &tm_utc) != nullptr) {
-    std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema_version\": %d,\n", kSchemaVersion);
-  std::fprintf(f, "  \"bench\": \"bench_recovery\",\n");
-  std::fprintf(f, "  \"generated_at\": \"%s\",\n", date);
-  std::fprintf(f, "  \"quick\": %s,\n", options.quick ? "true" : "false");
-  std::fprintf(f, "  \"messages_per_run\": %lld,\n",
-               static_cast<long long>(options.messages));
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(options.seed));
-  std::fprintf(f, "  \"runs\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"backend\": \"%s\",\n", r.backend.c_str());
-    std::fprintf(f, "      \"n\": %d,\n", r.n);
-    std::fprintf(f, "      \"omission\": %.4f,\n", r.omission);
-    std::fprintf(f, "      \"max_recover_batch\": %d,\n", r.batch);
-    std::fprintf(f, "      \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(r.seed));
-    std::fprintf(f, "      \"messages_generated\": %llu,\n",
-                 static_cast<unsigned long long>(r.generated));
-    std::fprintf(f, "      \"recoveries_issued\": %llu,\n",
-                 static_cast<unsigned long long>(r.recoveries_issued));
-    std::fprintf(f, "      \"recovery_batches\": %llu,\n",
-                 static_cast<unsigned long long>(r.recovery_batches));
-    std::fprintf(f, "      \"recovered_messages\": %llu,\n",
-                 static_cast<unsigned long long>(r.recovery_msgs));
-    std::fprintf(f, "      \"recovery_continuations\": %llu,\n",
-                 static_cast<unsigned long long>(r.recovery_continuations));
-    std::fprintf(f, "      \"recovery_budget_exhausted\": %llu,\n",
-                 static_cast<unsigned long long>(r.recovery_budget_exhausted));
-    std::fprintf(f, "      \"recovery_cache_hits\": %llu,\n",
-                 static_cast<unsigned long long>(r.recovery_cache_hits));
-    std::fprintf(f, "      \"recover_rsp_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(r.recover_rsp_bytes));
-    std::fprintf(f, "      \"roundtrips_per_recovered\": %.3f,\n",
-                 r.roundtrips_per_recovered());
-    std::fprintf(f, "      \"bytes_per_recovered\": %.1f,\n",
-                 r.bytes_per_recovered());
-    std::fprintf(f, "      \"recovery_latency_rtd_p50\": %.4f,\n",
-                 r.latency_p50_rtd);
-    std::fprintf(f, "      \"recovery_latency_rtd_p99\": %.4f,\n",
-                 r.latency_p99_rtd);
-    std::fprintf(f, "      \"joins\": %d,\n", r.joins);
-    std::fprintf(f, "      \"joins_admitted\": %d,\n", r.joins_admitted);
-    std::fprintf(f, "      \"join_catchup_batches\": %llu,\n",
-                 static_cast<unsigned long long>(r.join_catchup_batches));
-    std::fprintf(f, "      \"join_catchup_msgs\": %llu,\n",
-                 static_cast<unsigned long long>(r.join_catchup_msgs));
-    std::fprintf(f, "      \"join_catchup_latency_rtd_p50\": %.4f,\n",
-                 r.join_latency_p50_rtd);
-    std::fprintf(f, "      \"join_catchup_latency_rtd_p99\": %.4f,\n",
-                 r.join_latency_p99_rtd);
-    std::fprintf(f, "      \"waiting_peak\": %zu,\n", r.waiting_peak);
-    std::fprintf(f, "      \"inbox_peak\": %zu,\n", r.inbox_peak);
-    std::fprintf(f, "      \"history_peak\": %zu,\n", r.history_peak);
-    std::fprintf(f, "      \"wall_seconds\": %.6f,\n", r.wall_seconds);
-    std::fprintf(f, "      \"ok\": %s\n", r.ok ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu runs)\n", options.json_path.c_str(),
-              results.size());
+bench::Row json_row(const RunResult& r) {
+  bench::Row row;
+  row.str("backend", r.backend)
+      .integer("n", r.n)
+      .real("omission", r.omission, 4)
+      .integer("max_recover_batch", r.batch)
+      .integer("seed", r.seed)
+      .integer("messages_generated", r.generated)
+      .integer("recoveries_issued", r.recoveries_issued)
+      .integer("recovery_batches", r.recovery_batches)
+      .integer("recovered_messages", r.recovery_msgs)
+      .integer("recovery_continuations", r.recovery_continuations)
+      .integer("recovery_budget_exhausted", r.recovery_budget_exhausted)
+      .integer("recovery_cache_hits", r.recovery_cache_hits)
+      .integer("recover_rsp_bytes", r.recover_rsp_bytes)
+      .real("roundtrips_per_recovered", r.roundtrips_per_recovered(), 3)
+      .real("bytes_per_recovered", r.bytes_per_recovered(), 1)
+      .real("recovery_latency_rtd_p50", r.latency_p50_rtd, 4)
+      .real("recovery_latency_rtd_p99", r.latency_p99_rtd, 4)
+      .integer("joins", r.joins)
+      .integer("joins_admitted", r.joins_admitted)
+      .integer("join_catchup_batches", r.join_catchup_batches)
+      .integer("join_catchup_msgs", r.join_catchup_msgs)
+      .real("join_catchup_latency_rtd_p50", r.join_latency_p50_rtd, 4)
+      .real("join_catchup_latency_rtd_p99", r.join_latency_p99_rtd, 4)
+      .integer("waiting_peak", r.waiting_peak)
+      .integer("inbox_peak", r.inbox_peak)
+      .integer("history_peak", r.history_peak)
+      .real("wall_seconds", r.wall_seconds, 6)
+      .boolean("ok", r.ok);
+  return row;
 }
 
 int run_sweep(const Options& options) {
@@ -378,7 +319,7 @@ int run_sweep(const Options& options) {
   }
   join_table.print();
 
-  if (!options.json_path.empty()) write_json(options, results);
+  if (!options.json_path.empty()) bench::write_json(options, results, json_row);
   return all_ok ? 0 : 1;
 }
 
@@ -478,52 +419,15 @@ int run_soak(const Options& options) {
   return all_ok ? 0 : 1;
 }
 
-Options parse(int argc, char** argv) {
-  Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      const std::size_t len = std::strlen(prefix);
-      return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-    };
-    if (arg == "--quick") {
-      options.quick = true;
-      continue;
-    }
-    if (arg == "--soak") {
-      options.soak = true;
-      continue;
-    }
-    if (const char* v = value("--json=")) {
-      options.json_path = v;
-      continue;
-    }
-    if (const char* v = value("--backend=")) {
-      options.backend = v;
-      continue;
-    }
-    if (const char* v = value("--messages=")) {
-      options.messages = std::atoll(v);
-      continue;
-    }
-    if (const char* v = value("--seed=")) {
-      options.seed = std::strtoull(v, nullptr, 10);
-      continue;
-    }
-    std::fprintf(stderr,
-                 "unknown argument %s\n"
-                 "usage: bench_recovery [--json=FILE] [--quick] "
-                 "[--soak] [--backend=sim|threads|all] [--messages=N] "
-                 "[--seed=S]\n",
-                 arg.c_str());
-    std::exit(2);
-  }
-  return options;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options options = parse(argc, argv);
+  // --backend applies to --soak only; the sweep always runs on sim.
+  const Options options =
+      bench::parse(argc, argv,
+                   {.bench = "bench_recovery",
+                    .messages = 120,
+                    .backends = {"sim", "threads", "all"},
+                    .soak = true});
   return options.soak ? run_soak(options) : run_sweep(options);
 }

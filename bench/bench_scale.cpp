@@ -22,13 +22,11 @@
 // at least 5x at every measured n >= 1000.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 #include "obs/registry.hpp"
@@ -37,18 +35,11 @@
 namespace {
 
 using namespace urcgc;
+using bench::Options;
 
-constexpr int kSchemaVersion = 1;
 constexpr int kServerCount = 8;
 constexpr double kRequiredRatio = 5.0;  // delta must win 5x at n >= 1000
 constexpr int kRatioGateN = 1000;
-
-struct Options {
-  std::string json_path;
-  bool quick = false;
-  std::int64_t messages = 96;
-  std::uint64_t seed = 1;
-};
 
 struct RunResult {
   std::string encoding;
@@ -77,100 +68,60 @@ struct RunResult {
 
 RunResult run_point(const Options& options, int n,
                     core::ControlEncoding encoding) {
-  const auto start = std::chrono::steady_clock::now();
-  harness::ExperimentConfig config;
-  config.protocol.n = n;
-  config.protocol.structure = core::GroupStructure::kDiffusion;
-  config.protocol.server_count = std::min(kServerCount, n);
-  config.protocol.control_encoding = encoding;
-  config.workload.load = 0.8;
-  config.workload.total_messages = options.messages;
-  config.workload.cross_dep_prob = 0.2;
-  config.seed = options.seed;
-  config.limit_rtd = 600;
+  return bench::timed([&] {
+    harness::ExperimentConfig config;
+    config.protocol.n = n;
+    config.protocol.structure = core::GroupStructure::kDiffusion;
+    config.protocol.server_count = std::min(kServerCount, n);
+    config.protocol.control_encoding = encoding;
+    config.workload.load = 0.8;
+    config.workload.total_messages = options.messages;
+    config.workload.cross_dep_prob = 0.2;
+    config.seed = options.seed;
+    config.limit_rtd = 600;
 
-  obs::Registry registry(n);
-  config.metrics = &registry;
-  const auto report = harness::Experiment(config).run();
+    obs::Registry registry(n);
+    config.metrics = &registry;
+    const auto report = harness::Experiment(config).run();
 
-  RunResult result;
-  result.encoding = std::string(core::to_string(encoding));
-  result.n = n;
-  result.senders = config.protocol.server_count;
-  result.snapshot_every = config.protocol.delta_snapshot_every;
-  result.seed = options.seed;
-  result.generated = report.generated;
-  result.delivered = report.processed_events;
-  result.request_bytes = report.traffic.bytes(stats::MsgClass::kRequest);
-  result.decision_bytes = report.traffic.bytes(stats::MsgClass::kDecision);
-  result.delta_fallbacks =
-      registry.counter_total(registry.find("core.delta_fallbacks"));
-  result.delta_anchor_miss =
-      registry.counter_total(registry.find("core.delta_anchor_miss"));
-  result.ok = report.all_ok() && report.quiescent &&
-              report.workload_exhausted && result.delivered > 0;
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
+    RunResult result;
+    result.encoding = std::string(core::to_string(encoding));
+    result.n = n;
+    result.senders = config.protocol.server_count;
+    result.snapshot_every = config.protocol.delta_snapshot_every;
+    result.seed = options.seed;
+    result.generated = report.generated;
+    result.delivered = report.processed_events;
+    result.request_bytes = report.traffic.bytes(stats::MsgClass::kRequest);
+    result.decision_bytes = report.traffic.bytes(stats::MsgClass::kDecision);
+    result.delta_fallbacks =
+        registry.counter_total(registry.find("core.delta_fallbacks"));
+    result.delta_anchor_miss =
+        registry.counter_total(registry.find("core.delta_anchor_miss"));
+    result.ok = report.all_ok() && report.quiescent &&
+                report.workload_exhausted && result.delivered > 0;
+    return result;
+  });
 }
 
-void write_json(const Options& options,
-                const std::vector<RunResult>& results) {
-  std::FILE* f = std::fopen(options.json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n",
-                 options.json_path.c_str());
-    std::exit(1);
-  }
-  char date[32] = "unknown";
-  const std::time_t now = std::time(nullptr);
-  std::tm tm_utc{};
-  if (gmtime_r(&now, &tm_utc) != nullptr) {
-    std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema_version\": %d,\n", kSchemaVersion);
-  std::fprintf(f, "  \"bench\": \"bench_scale\",\n");
-  std::fprintf(f, "  \"generated_at\": \"%s\",\n", date);
-  std::fprintf(f, "  \"quick\": %s,\n", options.quick ? "true" : "false");
-  std::fprintf(f, "  \"messages_per_run\": %lld,\n",
-               static_cast<long long>(options.messages));
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(options.seed));
-  std::fprintf(f, "  \"runs\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"backend\": \"sim\",\n");
-    std::fprintf(f, "      \"encoding\": \"%s\",\n", r.encoding.c_str());
-    std::fprintf(f, "      \"n\": %d,\n", r.n);
-    std::fprintf(f, "      \"senders\": %d,\n", r.senders);
-    std::fprintf(f, "      \"snapshot_every\": %d,\n", r.snapshot_every);
-    std::fprintf(f, "      \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(r.seed));
-    std::fprintf(f, "      \"messages_generated\": %llu,\n",
-                 static_cast<unsigned long long>(r.generated));
-    std::fprintf(f, "      \"messages_delivered\": %llu,\n",
-                 static_cast<unsigned long long>(r.delivered));
-    std::fprintf(f, "      \"request_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(r.request_bytes));
-    std::fprintf(f, "      \"decision_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(r.decision_bytes));
-    std::fprintf(f, "      \"control_bytes_per_delivery\": %.3f,\n",
-                 r.bytes_per_delivery());
-    std::fprintf(f, "      \"delta_fallbacks\": %llu,\n",
-                 static_cast<unsigned long long>(r.delta_fallbacks));
-    std::fprintf(f, "      \"delta_anchor_miss\": %llu,\n",
-                 static_cast<unsigned long long>(r.delta_anchor_miss));
-    std::fprintf(f, "      \"wall_seconds\": %.6f,\n", r.wall_seconds);
-    std::fprintf(f, "      \"ok\": %s\n", r.ok ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu runs)\n", options.json_path.c_str(),
-              results.size());
+bench::Row json_row(const RunResult& r) {
+  bench::Row row;
+  row.str("backend", "sim")
+      .str("encoding", r.encoding)
+      .integer("n", r.n)
+      .integer("senders", r.senders)
+      .integer("snapshot_every", r.snapshot_every)
+      .integer("seed", r.seed)
+      .integer("messages_generated", r.generated)
+      .integer("messages_delivered", r.delivered)
+      .integer("request_bytes", r.request_bytes)
+      .integer("decision_bytes", r.decision_bytes)
+      .real("control_bytes_per_delivery", r.bytes_per_delivery(), 3)
+      .integer("delta_fallbacks", r.delta_fallbacks)
+      .integer("delta_anchor_miss", r.delta_anchor_miss)
+      .real("wall_seconds", r.wall_seconds, 6)
+      .boolean("ok", r.ok);
+  return row;
 }
 
 int run_sweep(const Options& options) {
@@ -233,46 +184,13 @@ int run_sweep(const Options& options) {
     if (!pass) all_ok = false;
   }
 
-  if (!options.json_path.empty()) write_json(options, results);
+  if (!options.json_path.empty()) bench::write_json(options, results, json_row);
   return all_ok ? 0 : 1;
-}
-
-Options parse(int argc, char** argv) {
-  Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      const std::size_t len = std::strlen(prefix);
-      return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-    };
-    if (arg == "--quick") {
-      options.quick = true;
-      continue;
-    }
-    if (const char* v = value("--json=")) {
-      options.json_path = v;
-      continue;
-    }
-    if (const char* v = value("--messages=")) {
-      options.messages = std::atoll(v);
-      continue;
-    }
-    if (const char* v = value("--seed=")) {
-      options.seed = std::strtoull(v, nullptr, 10);
-      continue;
-    }
-    std::fprintf(stderr,
-                 "unknown argument %s\n"
-                 "usage: bench_scale [--json=FILE] [--quick] "
-                 "[--messages=N] [--seed=S]\n",
-                 arg.c_str());
-    std::exit(2);
-  }
-  return options;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return run_sweep(parse(argc, argv));
+  return run_sweep(
+      bench::parse(argc, argv, {.bench = "bench_scale", .messages = 96}));
 }

@@ -21,31 +21,19 @@
 // n=10 / 64 B point.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <string>
 #include <vector>
 
 #include "baselines/runner.hpp"
+#include "common.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 
 namespace {
 
 using namespace urcgc;
-
-constexpr int kSchemaVersion = 1;
-
-struct Options {
-  std::string json_path;
-  bool quick = false;
-  std::string backend = "all";
-  std::string protocol = "all";
-  std::int64_t messages = 150;
-  std::uint64_t seed = 1;
-};
+using bench::Options;
 
 struct RunResult {
   std::string protocol;
@@ -86,16 +74,6 @@ struct RunResult {
   }
 };
 
-template <typename Fn>
-RunResult timed(Fn&& body) {
-  const auto start = std::chrono::steady_clock::now();
-  RunResult result = body();
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
-}
-
 /// One urcgc measurement point. The classic fan-out matrix uses the
 /// defaults (k=1, full grace); the pipelined sweep sets pipeline_k /
 /// grace_subruns / messages explicitly so the
@@ -119,7 +97,7 @@ struct UrcgcPoint {
 };
 
 RunResult run_urcgc(const Options& options, const UrcgcPoint& point) {
-  return timed([&] {
+  return bench::timed([&] {
     harness::ExperimentConfig config;
     config.protocol.n = point.n;
     config.protocol.max_subruns_in_flight = point.pipeline_k;
@@ -153,7 +131,7 @@ RunResult run_urcgc(const Options& options, const UrcgcPoint& point) {
 
 RunResult run_baseline(const Options& options, bool cbcast, bool threads,
                        int n, std::size_t payload) {
-  return timed([&] {
+  return bench::timed([&] {
     baselines::BaselineConfig config;
     config.n = n;
     config.workload.load = 1.0;
@@ -178,121 +156,41 @@ RunResult run_baseline(const Options& options, bool cbcast, bool threads,
   });
 }
 
-void write_json(const Options& options,
-                const std::vector<RunResult>& results) {
-  std::FILE* f = std::fopen(options.json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n",
-                 options.json_path.c_str());
-    std::exit(1);
-  }
-  char date[32] = "unknown";
-  const std::time_t now = std::time(nullptr);
-  std::tm tm_utc{};
-  if (gmtime_r(&now, &tm_utc) != nullptr) {
-    std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema_version\": %d,\n", kSchemaVersion);
-  std::fprintf(f, "  \"bench\": \"bench_throughput\",\n");
-  std::fprintf(f, "  \"generated_at\": \"%s\",\n", date);
-  std::fprintf(f, "  \"quick\": %s,\n", options.quick ? "true" : "false");
-  std::fprintf(f, "  \"messages_per_run\": %lld,\n",
-               static_cast<long long>(options.messages));
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(options.seed));
-  std::fprintf(f, "  \"runs\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"protocol\": \"%s\",\n", r.protocol.c_str());
-    std::fprintf(f, "      \"backend\": \"%s\",\n", r.backend.c_str());
-    std::fprintf(f, "      \"pipeline_k\": %d,\n", r.pipeline_k);
-    std::fprintf(f, "      \"round_us\": %lld,\n",
-                 static_cast<long long>(r.round_us));
-    std::fprintf(f, "      \"n\": %d,\n", r.n);
-    std::fprintf(f, "      \"payload_bytes\": %zu,\n", r.payload_bytes);
-    std::fprintf(f, "      \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(r.seed));
-    std::fprintf(f, "      \"messages_generated\": %llu,\n",
-                 static_cast<unsigned long long>(r.generated));
-    std::fprintf(f, "      \"messages_delivered\": %llu,\n",
-                 static_cast<unsigned long long>(r.delivered));
-    std::fprintf(f, "      \"wall_seconds\": %.6f,\n", r.wall_seconds);
-    std::fprintf(f, "      \"msgs_per_sec\": %.1f,\n", r.msgs_per_sec());
-    std::fprintf(f, "      \"deliveries_per_sec\": %.1f,\n",
-                 r.deliveries_per_sec());
-    std::fprintf(f, "      \"delivery_delay_rtd_p50\": %.4f,\n",
-                 r.delay_p50_rtd);
-    std::fprintf(f, "      \"delivery_delay_rtd_p99\": %.4f,\n",
-                 r.delay_p99_rtd);
-    std::fprintf(f, "      \"buffer_allocations\": %llu,\n",
-                 static_cast<unsigned long long>(r.buffers.allocations));
-    std::fprintf(f, "      \"buffer_bytes_allocated\": %llu,\n",
-                 static_cast<unsigned long long>(r.buffers.bytes_allocated));
-    std::fprintf(f, "      \"buffer_bytes_copied\": %llu,\n",
-                 static_cast<unsigned long long>(r.buffers.bytes_copied));
-    std::fprintf(f, "      \"bytes_copied_per_delivered_message\": %.2f,\n",
-                 r.bytes_copied_per_delivered_message());
-    std::fprintf(f, "      \"allocations_per_message\": %.2f,\n",
-                 r.allocations_per_message());
-    std::fprintf(f, "      \"ok\": %s\n", r.ok ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu runs)\n", options.json_path.c_str(),
-              results.size());
-}
-
-Options parse(int argc, char** argv) {
-  Options options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      const std::size_t len = std::strlen(prefix);
-      return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-    };
-    if (arg == "--quick") {
-      options.quick = true;
-      continue;
-    }
-    if (const char* v = value("--json=")) {
-      options.json_path = v;
-      continue;
-    }
-    if (const char* v = value("--backend=")) {
-      options.backend = v;
-      continue;
-    }
-    if (const char* v = value("--protocol=")) {
-      options.protocol = v;
-      continue;
-    }
-    if (const char* v = value("--messages=")) {
-      options.messages = std::atoll(v);
-      continue;
-    }
-    if (const char* v = value("--seed=")) {
-      options.seed = std::strtoull(v, nullptr, 10);
-      continue;
-    }
-    std::fprintf(stderr,
-                 "unknown argument %s\n"
-                 "usage: bench_throughput [--json=FILE] [--quick] "
-                 "[--backend=sim|threads|socket|all] "
-                 "[--protocol=urcgc|cbcast|psync|all] [--messages=N] "
-                 "[--seed=S]\n",
-                 arg.c_str());
-    std::exit(2);
-  }
-  return options;
+bench::Row json_row(const RunResult& r) {
+  bench::Row row;
+  row.str("protocol", r.protocol)
+      .str("backend", r.backend)
+      .integer("pipeline_k", r.pipeline_k)
+      .integer("round_us", r.round_us)
+      .integer("n", r.n)
+      .integer("payload_bytes", r.payload_bytes)
+      .integer("seed", r.seed)
+      .integer("messages_generated", r.generated)
+      .integer("messages_delivered", r.delivered)
+      .real("wall_seconds", r.wall_seconds, 6)
+      .real("msgs_per_sec", r.msgs_per_sec(), 1)
+      .real("deliveries_per_sec", r.deliveries_per_sec(), 1)
+      .real("delivery_delay_rtd_p50", r.delay_p50_rtd, 4)
+      .real("delivery_delay_rtd_p99", r.delay_p99_rtd, 4)
+      .integer("buffer_allocations", r.buffers.allocations)
+      .integer("buffer_bytes_allocated", r.buffers.bytes_allocated)
+      .integer("buffer_bytes_copied", r.buffers.bytes_copied)
+      .real("bytes_copied_per_delivered_message",
+            r.bytes_copied_per_delivered_message(), 2)
+      .real("allocations_per_message", r.allocations_per_message(), 2)
+      .boolean("ok", r.ok);
+  return row;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options options = parse(argc, argv);
+  const Options options = bench::parse(
+      argc, argv,
+      {.bench = "bench_throughput",
+       .messages = 150,
+       .backends = {"sim", "threads", "socket", "all"},
+       .protocols = {"urcgc", "cbcast", "psync", "all"}});
 
   std::vector<int> group_sizes{10, 50, 200};
   std::vector<std::size_t> payloads{64, 1024, 16384};
@@ -464,6 +362,6 @@ int main(int argc, char** argv) {
         pipelined_head.delay_p50_rtd);
   }
 
-  if (!options.json_path.empty()) write_json(options, results);
+  if (!options.json_path.empty()) bench::write_json(options, results, json_row);
   return all_ok ? 0 : 1;
 }

@@ -411,30 +411,11 @@ ExperimentReport Experiment::run() {
     state.processed = process->mt().processing_log().size();
     state.history = process->mt().history_size();
     state.waiting = process->mt().waiting_size();
-    state.flow_blocked_rounds = process->counters().flow_blocked_rounds;
-    state.requests_dropped = process->counters().requests_dropped;
     state.waiting_peak = process->mt().waiting_peak();
     state.history_peak = process->mt().history_peak();
     state.inbox_peak = process->inbox_peak();
-    const core::UrcgcProcess::Counters& c = process->counters();
-    state.waiting_rejected = c.waiting_rejected;
-    state.inbox_duplicates = c.inbox_duplicates;
-    state.inbox_overflow = c.inbox_overflow;
-    state.backpressure_paused_rounds = c.backpressure_paused_rounds;
-    state.recoveries_issued = c.recoveries_issued;
-    state.recovery_batches = c.recovery_batches;
-    state.recovery_msgs = c.recovery_msgs;
-    state.recovery_continuations = c.recovery_continuations;
-    state.recovery_budget_exhausted = c.recovery_budget_exhausted;
-    state.recovery_cache_hits = c.recovery_cache_hits;
-    state.pipeline_eager_deliveries = c.pipeline_eager_deliveries;
-    state.pipeline_stall_rounds = c.pipeline_stall_rounds;
-    state.pipeline_subruns_in_flight = c.pipeline_subruns_in_flight;
     state.join_phase = process->join_phase();
-    state.join_requested = c.join_requested;
-    state.join_decided = c.join_decided;
-    state.join_catchup_batches = c.join_catchup_batches;
-    state.join_catchup_msgs = c.join_catchup_msgs;
+    state.counters = process->counters();
     report.processes.push_back(state);
   }
 

@@ -151,36 +151,16 @@ struct ProcessEndState {
   std::size_t processed = 0;
   std::size_t history = 0;
   std::size_t waiting = 0;
-  std::uint64_t flow_blocked_rounds = 0;
-  std::uint64_t requests_dropped = 0;
   /// Exact occupancy high-water marks over the whole run — what the
   /// checker's buffer-bounds clause compares against the configured caps.
   std::size_t waiting_peak = 0;
   std::size_t history_peak = 0;
   std::size_t inbox_peak = 0;
-  /// Backpressure accounting (see core::UrcgcProcess::Counters).
-  std::uint64_t waiting_rejected = 0;
-  std::uint64_t inbox_duplicates = 0;
-  std::uint64_t inbox_overflow = 0;
-  std::uint64_t backpressure_paused_rounds = 0;
-  /// Recovery accounting.
-  std::uint64_t recoveries_issued = 0;
-  std::uint64_t recovery_batches = 0;
-  std::uint64_t recovery_msgs = 0;
-  std::uint64_t recovery_continuations = 0;
-  std::uint64_t recovery_budget_exhausted = 0;
-  std::uint64_t recovery_cache_hits = 0;
-  /// Pipelining accounting (see core::UrcgcProcess::Counters).
-  std::uint64_t pipeline_eager_deliveries = 0;
-  std::uint64_t pipeline_stall_rounds = 0;
-  std::uint64_t pipeline_subruns_in_flight = 0;
-  /// Membership: end-of-run join phase and join accounting.
+  /// Membership: end-of-run join phase.
   core::UrcgcProcess::JoinPhase join_phase =
       core::UrcgcProcess::JoinPhase::kMember;
-  std::uint64_t join_requested = 0;
-  std::uint64_t join_decided = 0;
-  std::uint64_t join_catchup_batches = 0;
-  std::uint64_t join_catchup_msgs = 0;
+  /// The process's own counters at the end of the run.
+  core::UrcgcProcess::Counters counters;
 };
 
 struct ExperimentReport {

@@ -135,6 +135,48 @@ TEST(ComputeDecision, RemovalAtKAttempts) {
   EXPECT_TRUE(d.alive[2]);
 }
 
+// quorum_cuts: a coordinator that heard fewer than n/2+1 members may sit in
+// a minority partition, so it must not cut anyone (n = 5: majority is 3).
+CoordinatorInputs minority_subrun(bool quorum_cuts) {
+  auto inputs = base_inputs(5);
+  inputs.k_attempts = 2;
+  inputs.quorum_cuts = quorum_cuts;
+  inputs.base.attempts = {0, 1, 0, 0, 0};
+  inputs.requests = {make_request(0, 0, 5), make_request(2, 0, 5)};
+  return inputs;
+}
+
+TEST(ComputeDecision, QuorumCutsHoldRemovalWithoutMajority) {
+  Decision d = compute_decision(minority_subrun(/*quorum_cuts=*/true));
+  EXPECT_TRUE(d.alive[1]);  // at K attempts, but only 2 of 5 reported
+  EXPECT_EQ(d.attempts[1], 2);  // attempts still accumulate
+  EXPECT_EQ(d.attempts[3], 1);
+  EXPECT_EQ(d.attempts[4], 1);
+  for (ProcessId q = 0; q < 5; ++q) EXPECT_TRUE(d.alive[q]) << q;
+}
+
+TEST(ComputeDecision, QuorumCutsRemoveOnceMajorityReports) {
+  const Decision held = compute_decision(minority_subrun(true));
+  ASSERT_TRUE(held.alive[1]);
+  auto inputs = base_inputs(5, /*subrun=*/1);
+  inputs.k_attempts = 2;
+  inputs.quorum_cuts = true;
+  inputs.base = held;
+  inputs.requests = {make_request(0, 1, 5), make_request(2, 1, 5),
+                     make_request(3, 1, 5), make_request(4, 1, 5)};
+  Decision d = compute_decision(inputs);
+  EXPECT_FALSE(d.alive[1]);  // the majority is back: cut at once
+  EXPECT_EQ(d.attempts[3], 0);
+  EXPECT_EQ(d.attempts[4], 0);
+  EXPECT_TRUE(d.alive[0] && d.alive[2] && d.alive[3] && d.alive[4]);
+}
+
+TEST(ComputeDecision, WithoutQuorumCutsRemovalIgnoresReporterCount) {
+  Decision d = compute_decision(minority_subrun(/*quorum_cuts=*/false));
+  EXPECT_FALSE(d.alive[1]);  // K attempts cut it, 2 of 5 reporters or not
+  EXPECT_TRUE(d.alive[0] && d.alive[2] && d.alive[3] && d.alive[4]);
+}
+
 TEST(ComputeDecision, RemovedProcessNotRequiredForCoverage) {
   auto inputs = base_inputs(3);
   inputs.k_attempts = 1;  // silence once -> removed immediately

@@ -82,10 +82,10 @@ TEST(Membership, SingleJoinerCatchesUpOnSim) {
   ASSERT_EQ(report.processes.size(), 4u);
   EXPECT_EQ(report.processes[3].join_phase,
             core::UrcgcProcess::JoinPhase::kMember);
-  EXPECT_GT(report.processes[3].join_requested, 0u);
+  EXPECT_GT(report.processes[3].counters.join_requested, 0u);
   // Someone coordinated the admission.
   std::uint64_t decided = 0;
-  for (const auto& p : report.processes) decided += p.join_decided;
+  for (const auto& p : report.processes) decided += p.counters.join_decided;
   EXPECT_EQ(decided, 1u);
   // The joiner generated traffic after joining (workload spread over 4).
   EXPECT_GT(report.processes[3].processed, 0u);
@@ -297,7 +297,7 @@ TEST(Membership, CatchupDrainsUnderOmission) {
   const auto& joiner = report.processes[4];
   EXPECT_EQ(joiner.join_phase, core::UrcgcProcess::JoinPhase::kMember);
   // The snapshot handshake happened (at least one adopted response).
-  EXPECT_GT(joiner.join_catchup_batches, 0u);
+  EXPECT_GT(joiner.counters.join_catchup_batches, 0u);
 }
 
 // Budget exhaustion, pre-admission flavor: a joiner partitioned from the

@@ -133,9 +133,9 @@ struct PipelineTotals {
 PipelineTotals pipeline_totals(const harness::ExperimentReport& report) {
   PipelineTotals t;
   for (const auto& p : report.processes) {
-    t.eager += p.pipeline_eager_deliveries;
-    t.stalls += p.pipeline_stall_rounds;
-    t.in_flight += p.pipeline_subruns_in_flight;
+    t.eager += p.counters.pipeline_eager_deliveries;
+    t.stalls += p.counters.pipeline_stall_rounds;
+    t.in_flight += p.counters.pipeline_subruns_in_flight;
   }
   return t;
 }

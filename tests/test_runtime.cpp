@@ -275,9 +275,9 @@ TEST(CrossBackend, SeededWorkloadPassesOnBothBackends) {
     // datagram substrate nothing duplicates frames, so the coordinator
     // inbox must never see (let alone merge away) a duplicate REQUEST.
     for (const auto& process : report->processes) {
-      EXPECT_EQ(process.requests_dropped, 0u);
-      EXPECT_EQ(process.inbox_duplicates, 0u);
-      EXPECT_EQ(process.inbox_overflow, 0u);
+      EXPECT_EQ(process.counters.requests_dropped, 0u);
+      EXPECT_EQ(process.counters.inbox_duplicates, 0u);
+      EXPECT_EQ(process.counters.inbox_overflow, 0u);
     }
   }
   // Fault-free: the full offered load is generated and processed
